@@ -293,44 +293,29 @@ func BenchmarkConvForward(b *testing.B) {
 	net := zoo.Build(zoo.AlexNet, zoo.Seed)
 	_, te := zoo.Data(zoo.AlexNet)
 	x := te.Batch(0, 8)
+	sess := exec.NewSession(exec.NewPlan(net))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Forward(x)
+		sess.Forward(x)
 	}
 	b.ReportMetric(float64(net.TotalMACs()*8), "MACs/op")
 }
 
-func BenchmarkReplaySuffix(b *testing.B) {
-	net := zoo.Build(zoo.AlexNet, zoo.Seed)
-	_, te := zoo.Data(zoo.AlexNet)
-	x := te.Batch(0, 8)
-	acts := net.ForwardAll(x)
-	nodes := net.AnalyzableNodes()
-	mid := nodes[len(nodes)/2]
-	r := rng.New(1)
-	inj := profile.UniformInjector(r, 0.01, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.ReplayFrom(acts, mid, inj)
-	}
-}
-
-// BenchmarkReplayPlan is the plan-based counterpart of
-// BenchmarkReplaySuffix: the same mid-network replay, but through an
-// exec.Session — the precomputed downstream set replaces the per-call
-// dirty scan and pooled arenas replace per-node output allocation.
-// Compare the two (time and allocs/op) to see what the execution
-// engine buys on the profiling hot path.
+// BenchmarkReplayPlan is the same mid-network replay the profiler runs
+// per Δ-sweep item, through an exec.Session: the precomputed downstream
+// set replaces a per-call dirty scan and pooled arenas replace
+// per-node output allocation (allocs/op is the headline).
 func BenchmarkReplayPlan(b *testing.B) {
 	net := zoo.Build(zoo.AlexNet, zoo.Seed)
 	_, te := zoo.Data(zoo.AlexNet)
 	x := te.Batch(0, 8)
-	acts := net.ForwardAll(x)
+	plan := exec.NewPlan(net)
+	acts := exec.NewSession(plan).ForwardAll(x)
 	nodes := net.AnalyzableNodes()
 	mid := nodes[len(nodes)/2]
 	r := rng.New(1)
 	inj := profile.UniformInjector(r, 0.01, false)
-	sess := exec.NewSession(exec.NewPlan(net))
+	sess := exec.NewSession(plan)
 	sess.Replay(acts, mid, inj) // warm the arenas
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -340,21 +325,22 @@ func BenchmarkReplayPlan(b *testing.B) {
 }
 
 // BenchmarkSessionAlloc contrasts the steady-state allocation profile
-// of the arena-backed forward pass against the allocating Network
-// path; allocs/op is the headline metric (the session side stays at
-// zero once its buffers are warm).
+// of a warm arena-backed forward pass against a fresh Session per call
+// (every node buffer allocated anew); allocs/op is the headline metric
+// (the warm side stays near zero once its buffers exist).
 func BenchmarkSessionAlloc(b *testing.B) {
 	net := zoo.Build(zoo.AlexNet, zoo.Seed)
 	_, te := zoo.Data(zoo.AlexNet)
 	x := te.Batch(0, 8)
-	b.Run("network", func(b *testing.B) {
+	plan := exec.NewPlan(net)
+	b.Run("fresh-session", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			net.Forward(x)
+			exec.NewSession(plan).Forward(x)
 		}
 	})
 	b.Run("session", func(b *testing.B) {
-		sess := exec.NewSession(exec.NewPlan(net))
+		sess := exec.NewSession(plan)
 		sess.Forward(x) // warm the arenas
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -496,8 +482,9 @@ func BenchmarkIntegerInference(b *testing.B) {
 	})
 	b.Run("float-simulated", func(b *testing.B) {
 		plan := alloc.InjectionPlan()
+		sess := exec.NewSession(exec.NewPlan(net))
 		for i := 0; i < b.N; i++ {
-			net.ForwardInject(batch, plan)
+			sess.ForwardInject(batch, plan)
 		}
 	})
 }

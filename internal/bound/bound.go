@@ -25,6 +25,7 @@ import (
 
 	"mupod/internal/core"
 	"mupod/internal/dataset"
+	"mupod/internal/exec"
 	"mupod/internal/fixedpoint"
 	"mupod/internal/nn"
 	"mupod/internal/profile"
@@ -133,12 +134,13 @@ func DecisionMargin(net *nn.Network, ds *dataset.Dataset, n int) float64 {
 	}
 	margin := math.Inf(1)
 	const batch = 32
+	sess := exec.NewSession(exec.NewPlan(net))
 	for start := 0; start < n; start += batch {
 		b := batch
 		if start+b > n {
 			b = n - start
 		}
-		logits := net.Forward(ds.Batch(start, b))
+		logits := sess.Forward(ds.Batch(start, b))
 		C := logits.Shape[1]
 		for i := 0; i < b; i++ {
 			row := logits.Data[i*C : (i+1)*C]

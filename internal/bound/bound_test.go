@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"mupod/internal/exec"
 	"mupod/internal/nn"
 	"mupod/internal/profile"
 	"mupod/internal/rng"
@@ -59,13 +60,15 @@ func TestAmplificationIsSound(t *testing.T) {
 	net, _, te := testnet.Trained()
 	amp := Amplification(net)
 	batch := te.Batch(0, 8)
-	acts := net.ForwardAll(batch)
+	plan := exec.NewPlan(net)
+	acts := exec.NewSession(plan).ForwardAll(batch)
 	exact := acts[len(acts)-1]
+	sess := exec.NewSession(plan)
 	r := rng.New(42)
 	for _, k := range net.AnalyzableNodes() {
 		const delta = 0.05
 		// Adversarial-ish noise: full ±Δ with random signs.
-		out := net.ReplayFrom(acts, k, func(x *tensor.Tensor) {
+		out := sess.Replay(acts, k, func(x *tensor.Tensor) {
 			for i := range x.Data {
 				if r.Float64() < 0.5 {
 					x.Data[i] += delta

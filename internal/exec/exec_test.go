@@ -10,6 +10,7 @@ import (
 	"mupod/internal/exec"
 	"mupod/internal/nn"
 	"mupod/internal/profile"
+	"mupod/internal/refcheck"
 	"mupod/internal/rng"
 	"mupod/internal/tensor"
 	"mupod/internal/testnet"
@@ -45,7 +46,7 @@ func TestPlanDownstreamMatchesBruteForce(t *testing.T) {
 	net := branchy()
 	p := exec.NewPlan(net)
 	for start := 1; start < len(net.Nodes); start++ {
-		// Brute force: the dirty-scan loop nn.ReplayFrom runs.
+		// Brute force: scan every successor for a dirty input.
 		dirty := make([]bool, len(net.Nodes))
 		dirty[start] = true
 		var want []int
@@ -77,7 +78,7 @@ func TestPlanOutSize(t *testing.T) {
 	net := branchy()
 	p := exec.NewPlan(net)
 	x := tensor.New(2, 2, 8, 8)
-	acts := net.ForwardAll(x)
+	acts := exec.NewSession(p).ForwardAll(x)
 	for id, a := range acts {
 		if a.Len() != 2*p.OutSize(id) {
 			t.Errorf("node %d: OutSize %d, activation %d elems for batch 2", id, p.OutSize(id), a.Len())
@@ -85,96 +86,226 @@ func TestPlanOutSize(t *testing.T) {
 	}
 }
 
-// TestSessionReplayMatchesLegacy verifies the arena-based replay is
-// bit-identical to nn.ReplayFrom for every analyzable node, on both
-// the branchy DAG and the shared trained fixture.
-func TestSessionReplayMatchesLegacy(t *testing.T) {
-	nets := map[string]struct {
-		net *nn.Network
-		x   *tensor.Tensor
-	}{}
-	bn := branchy()
-	bx := tensor.New(3, 2, 8, 8)
-	r := rng.New(11)
-	for i := range bx.Data {
-		bx.Data[i] = r.Uniform(-1, 1)
+// randInput returns a deterministic uniform [-1, 1) batch.
+func randInput(seed uint64, shape ...int) *tensor.Tensor {
+	x := tensor.New(shape...)
+	r := rng.New(seed)
+	for i := range x.Data {
+		x.Data[i] = r.Uniform(-1, 1)
 	}
-	nets["branchy"] = struct {
-		net *nn.Network
-		x   *tensor.Tensor
-	}{bn, bx}
-	tn, _, te := testnet.Trained()
-	nets["testnet"] = struct {
-		net *nn.Network
-		x   *tensor.Tensor
-	}{tn, te.Batch(0, 6)}
+	return x
+}
 
-	for name, tc := range nets {
-		t.Run(name, func(t *testing.T) {
-			acts := tc.net.ForwardAll(tc.x)
-			sess := exec.NewSession(exec.NewPlan(tc.net))
+// TestSessionReplayMatchesForwardInject verifies the suffix replay is
+// bit-identical to a full injected forward with the same single
+// injection, for every analyzable node, on both the branchy DAG and
+// the shared trained fixture. The cached activations come from a
+// separate clean session and must survive the replays untouched.
+func TestSessionReplayMatchesForwardInject(t *testing.T) {
+	tn, _, te := testnet.Trained()
+	cases := []struct {
+		name string
+		net  *nn.Network
+		x    *tensor.Tensor
+	}{
+		{"branchy", branchy(), randInput(11, 3, 2, 8, 8)},
+		{"testnet", tn, te.Batch(0, 6)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := exec.NewPlan(tc.net)
+			acts := exec.NewSession(plan).ForwardAll(tc.x)
+			snapshot := cloneAll(acts)
+			replay, full := exec.NewSession(plan), exec.NewSession(plan)
 			for _, id := range tc.net.AnalyzableNodes() {
 				for trial := 0; trial < 3; trial++ {
 					seed := uint64(id*100 + trial)
-					inj := func(seed uint64) nn.Injector {
+					inj := func() nn.Injector {
 						return profile.UniformInjector(rng.New(seed), 0.05, false)
 					}
-					want := tc.net.ReplayFrom(acts, id, inj(seed))
-					got := sess.Replay(acts, id, inj(seed))
+					got := replay.Replay(acts, id, inj())
+					want := full.ForwardInject(tc.x, map[int]nn.Injector{id: inj()})
 					if len(got.Data) != len(want.Data) {
 						t.Fatalf("node %d: length %d vs %d", id, len(got.Data), len(want.Data))
 					}
 					for i := range want.Data {
 						if got.Data[i] != want.Data[i] {
-							t.Fatalf("node %d trial %d: logit[%d] = %v, legacy %v", id, trial, i, got.Data[i], want.Data[i])
+							t.Fatalf("node %d trial %d: replay logit[%d] = %v, full forward %v", id, trial, i, got.Data[i], want.Data[i])
 						}
 					}
 				}
 			}
-			// The cached activations must be untouched by replays.
-			fresh := tc.net.ForwardAll(tc.x)
-			for id := range acts {
-				for i := range acts[id].Data {
-					if acts[id].Data[i] != fresh[id].Data[i] {
-						t.Fatalf("replay corrupted cached activation of node %d", id)
-					}
-				}
-			}
+			assertUnchanged(t, acts, snapshot)
 		})
 	}
 }
 
-// TestSessionForwardInjectMatchesLegacy verifies the arena forward
-// pass (with and without injection) is bit-identical to the Network
-// methods, including after a batch-size change.
-func TestSessionForwardInjectMatchesLegacy(t *testing.T) {
+// TestSessionForwardMatchesRefcheck pins the pooled forward pass to
+// the independent reference kernels, including after a batch-size
+// change; a reused session's injected forward must stay bit-identical
+// to a fresh session's across the same resizes.
+func TestSessionForwardMatchesRefcheck(t *testing.T) {
 	net, _, te := testnet.Trained()
-	sess := exec.NewSession(exec.NewPlan(net))
+	plan := exec.NewPlan(net)
+	sess := exec.NewSession(plan)
+	injPlan := func() map[int]nn.Injector {
+		m := map[int]nn.Injector{}
+		for _, id := range net.AnalyzableNodes() {
+			m[id] = profile.UniformInjector(rng.New(uint64(id)), 0.02, false)
+		}
+		return m
+	}
 	for _, bs := range []int{8, 8, 3} { // repeat + shrink exercises arena reuse/resize
 		x := te.Batch(0, bs)
-		want := net.Forward(x)
-		got := sess.Forward(x)
+		diff, err := refcheck.CompareTensors(sess.Forward(x), refcheck.ForwardNetwork(net, x))
+		if err != nil {
+			t.Fatalf("batch %d: %v", bs, err)
+		}
+		if diff > refcheck.ForwardTol {
+			t.Fatalf("batch %d: forward diverges from reference by %g", bs, diff)
+		}
+		got := sess.ForwardInject(x, injPlan())
+		want := exec.NewSession(plan).ForwardInject(x, injPlan())
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {
-				t.Fatalf("batch %d: plain forward diverges at %d", bs, i)
-			}
-		}
-		plan := map[int]nn.Injector{}
-		for _, id := range net.AnalyzableNodes() {
-			plan[id] = profile.UniformInjector(rng.New(uint64(id)), 0.02, false)
-		}
-		plan2 := map[int]nn.Injector{}
-		for _, id := range net.AnalyzableNodes() {
-			plan2[id] = profile.UniformInjector(rng.New(uint64(id)), 0.02, false)
-		}
-		want = net.ForwardInject(x, plan)
-		got = sess.ForwardInject(x, plan2)
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("batch %d: injected forward diverges at %d", bs, i)
+				t.Fatalf("batch %d: reused-session injected forward diverges at %d", bs, i)
 			}
 		}
 	}
+}
+
+// TestSessionReplayMatchesFullForward checks the suffix replay against
+// an independent full forward: the reference kernels walk every node,
+// with the same fixed perturbation applied to a copy of the injected
+// node's first input.
+func TestSessionReplayMatchesFullForward(t *testing.T) {
+	net := branchy()
+	plan := exec.NewPlan(net)
+	x := randInput(7, 2, 2, 8, 8)
+	acts := exec.NewSession(plan).ForwardAll(x)
+	sess := exec.NewSession(plan)
+	bump := func(t_ *tensor.Tensor) {
+		for i := range t_.Data {
+			t_.Data[i] += 0.01 * float64(i%3)
+		}
+	}
+	for _, id := range net.AnalyzableNodes() {
+		ref := make([]*tensor.Tensor, len(net.Nodes))
+		ref[0] = x
+		for _, nd := range net.Nodes[1:] {
+			ins := make([]*tensor.Tensor, len(nd.Inputs))
+			for i, in := range nd.Inputs {
+				ins[i] = ref[in]
+			}
+			if nd.ID == id {
+				ins[0] = ins[0].Clone()
+				bump(ins[0])
+			}
+			ref[nd.ID] = refcheck.ForwardLayer(nd.Layer, ins)
+		}
+		diff, err := refcheck.CompareTensors(sess.Replay(acts, id, bump), ref[len(ref)-1])
+		if err != nil {
+			t.Fatalf("node %d: %v", id, err)
+		}
+		if diff > refcheck.ForwardTol {
+			t.Fatalf("node %d: replay diverges from reference full forward by %g", id, diff)
+		}
+	}
+}
+
+func TestSessionReplayNoopInjection(t *testing.T) {
+	net := branchy()
+	plan := exec.NewPlan(net)
+	acts := exec.NewSession(plan).ForwardAll(randInput(3, 1, 2, 8, 8))
+	exact := acts[len(acts)-1]
+	out := exec.NewSession(plan).Replay(acts, net.AnalyzableNodes()[0], func(*tensor.Tensor) {})
+	for i := range out.Data {
+		if out.Data[i] != exact.Data[i] {
+			t.Fatal("no-op injection changed the output")
+		}
+	}
+}
+
+// TestSessionReplayDoesNotMutateCache: the ForwardAll activations of
+// session A are the profiler's cache; replays on session B, injected
+// at every node, must leave every one of them untouched.
+func TestSessionReplayDoesNotMutateCache(t *testing.T) {
+	net := branchy()
+	plan := exec.NewPlan(net)
+	x := tensor.New(1, 2, 8, 8)
+	x.Fill(0.5)
+	acts := exec.NewSession(plan).ForwardAll(x)
+	snapshot := cloneAll(acts)
+	b := exec.NewSession(plan)
+	for id := 1; id < len(net.Nodes); id++ {
+		b.Replay(acts, id, func(t_ *tensor.Tensor) { t_.Fill(99) })
+	}
+	assertUnchanged(t, acts, snapshot)
+}
+
+func TestSessionReplayPanicsOnBadNode(t *testing.T) {
+	net := branchy()
+	plan := exec.NewPlan(net)
+	a := exec.NewSession(plan)
+	acts := a.ForwardAll(tensor.New(1, 2, 8, 8))
+	noop := func(*tensor.Tensor) {}
+	b := exec.NewSession(plan)
+	mustPanic(t, "node 0", func() { b.Replay(acts, 0, noop) })
+	mustPanic(t, "node 99", func() { b.Replay(acts, 99, noop) })
+	// Replaying a session's own view would write into the cache.
+	mustPanic(t, "own activations", func() { a.Replay(acts, 1, noop) })
+}
+
+// TestSessionForwardInjectIsolatesSharedTensors: branch1 and branch2
+// share relu1's output; zeroing branch1's input must leave what
+// branch2 sees untouched.
+func TestSessionForwardInjectIsolatesSharedTensors(t *testing.T) {
+	net := branchy()
+	plan := exec.NewPlan(net)
+	x := randInput(6, 1, 2, 8, 8)
+	shared := exec.NewSession(plan).ForwardAll(x)[net.NodeByName("relu1").ID].Clone()
+	var seen *tensor.Tensor
+	exec.NewSession(plan).ForwardInject(x, map[int]nn.Injector{
+		net.NodeByName("branch1").ID: func(t_ *tensor.Tensor) { t_.Fill(0) },
+		net.NodeByName("branch2").ID: func(t_ *tensor.Tensor) { seen = t_.Clone() },
+	})
+	if shared.MaxAbs() == 0 {
+		t.Fatal("degenerate fixture: shared activation is all zero")
+	}
+	for i := range shared.Data {
+		if seen.Data[i] != shared.Data[i] {
+			t.Fatalf("branch2 saw branch1's injection at element %d", i)
+		}
+	}
+}
+
+func cloneAll(acts []*tensor.Tensor) []*tensor.Tensor {
+	out := make([]*tensor.Tensor, len(acts))
+	for i, a := range acts {
+		out[i] = a.Clone()
+	}
+	return out
+}
+
+func assertUnchanged(t *testing.T, acts, snapshot []*tensor.Tensor) {
+	t.Helper()
+	for id := range acts {
+		for i := range acts[id].Data {
+			if acts[id].Data[i] != snapshot[id].Data[i] {
+				t.Fatalf("replay mutated cached activation of node %d", id)
+			}
+		}
+	}
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s: no panic", what)
+		}
+	}()
+	f()
 }
 
 // TestConcurrentSessionsShareOnePlan is the race-detector coverage:
@@ -184,13 +315,14 @@ func TestConcurrentSessionsShareOnePlan(t *testing.T) {
 	net, _, te := testnet.Trained()
 	p := exec.NewPlan(net)
 	x := te.Batch(0, 4)
-	acts := net.ForwardAll(x)
+	acts := exec.NewSession(p).ForwardAll(x)
 	ids := net.AnalyzableNodes()
 
 	// Reference outputs, computed sequentially.
 	ref := make(map[int][]float64, len(ids))
+	seq := exec.NewSession(p)
 	for _, id := range ids {
-		out := net.ReplayFrom(acts, id, profile.UniformInjector(rng.New(uint64(id)), 0.03, false))
+		out := seq.Replay(acts, id, profile.UniformInjector(rng.New(uint64(id)), 0.03, false))
 		ref[id] = append([]float64(nil), out.Data...)
 	}
 

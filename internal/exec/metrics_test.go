@@ -4,9 +4,9 @@ import (
 	"context"
 	"testing"
 
+	"mupod/internal/nn"
 	"mupod/internal/obs"
 	"mupod/internal/tensor"
-	"mupod/internal/testnet"
 )
 
 func TestSessionAndEvaluatorMetrics(t *testing.T) {
@@ -14,7 +14,13 @@ func TestSessionAndEvaluatorMetrics(t *testing.T) {
 	m := EnableMetrics(reg)
 	defer DisableMetrics()
 
-	net, _, _ := testnet.Trained()
+	// A hand-built net: the trained fixtures sit behind internal/train,
+	// which itself executes through this package.
+	net := nn.NewNetwork("tiny", []int{3, 8, 8}, 2)
+	x0 := net.AddNode("conv", nn.NewConv2D(3, 4, 3, 1, 1), 0)
+	x0 = net.AddNode("relu", nn.ReLU{}, x0)
+	x0 = net.AddNode("gap", nn.GlobalAvgPool{}, x0)
+	net.AddNode("fc", nn.NewDense(4, 2), x0)
 	plan := NewPlan(net)
 	s := NewSession(plan)
 	x := tensor.New(2, 3, 8, 8)

@@ -1,15 +1,16 @@
-// Package exec owns network execution for the measurement pipeline.
-// Three pieces compose:
+// Package exec owns network execution: every inference pass in the
+// repository — clean forwards, injected forwards, suffix replays —
+// walks the graph here, through one per-layer call
+// (nn.Layer.ForwardIntoOn). Three pieces compose:
 //
 //   - Plan: per-network metadata computed once — the downstream
 //     dirty-set of every node (which suffix nodes a perturbation at K
-//     actually reaches) and per-node output sizes — so replays stop
-//     rescanning every successor on each of the thousands of
-//     profiling replays nn.ReplayFrom performs.
+//     actually reaches) and per-node output sizes — so none of the
+//     thousands of profiling replays rescans every successor.
 //   - Session: reusable activation arenas. A replay or forward pass
-//     writes into pooled per-node tensors (via nn.IntoForwarder)
-//     instead of allocating ~len(Nodes) tensors per call. Sessions are
-//     single-goroutine; many sessions share one read-only Plan.
+//     writes into pooled per-node tensors instead of allocating
+//     ~len(Nodes) tensors per call. Sessions are single-goroutine;
+//     many sessions share one read-only Plan.
 //   - Evaluator: a bounded worker pool mapping a deterministic work
 //     list across workers. Callers pre-split RNG streams per work item
 //     and reduce in index order, so parallel results are bit-identical

@@ -20,9 +20,9 @@ import (
 // goroutine. Any number of Sessions may share one Plan — the Plan and
 // the underlying Network (weights included) are only read.
 //
-// Tensors returned by Replay/Forward/ForwardInject are owned by the
-// Session and overwritten by its next call: consume (or copy) them
-// before reusing the Session.
+// Tensors returned by Replay/Forward/ForwardInject/ForwardAll are
+// owned by the Session and overwritten by its next call: consume (or
+// copy) them before reusing the Session.
 type Session struct {
 	plan *Plan
 	base kernels.Backend // resolved from the policy at construction
@@ -118,34 +118,27 @@ func (s *Session) gather(nd *nn.Node) []*tensor.Tensor {
 }
 
 // step executes one node into its pooled buffer on the session's
-// kernel backend (falling back to plain ForwardInto, then to the
-// layer's allocating Forward, for layers outside the kernel layer) and
-// records the result in cur.
+// kernel backend and records the result in cur.
 func (s *Session) step(nd *nn.Node, ins []*tensor.Tensor, batch int) {
-	if f, ok := nd.Layer.(nn.BackendForwarder); ok {
-		out := s.buf(nd.ID, batch)
-		s.scratch = f.ForwardIntoOn(s.be, ins, out, s.scratch)
-		s.cur[nd.ID] = out
-		return
-	}
-	if f, ok := nd.Layer.(nn.IntoForwarder); ok {
-		out := s.buf(nd.ID, batch)
-		s.scratch = f.ForwardInto(ins, out, s.scratch)
-		s.cur[nd.ID] = out
-		return
-	}
-	s.cur[nd.ID] = nd.Layer.Forward(ins)
+	out := s.buf(nd.ID, batch)
+	s.scratch = nd.Layer.ForwardIntoOn(s.be, ins, out, s.scratch)
+	s.cur[nd.ID] = out
 }
 
-// Replay is the plan-based equivalent of nn.ReplayFrom: re-execute the
-// sub-graph downstream of nodeID from cached exact activations with
-// the input of nodeID perturbed by inject, touching exactly the
-// precomputed dirty-set instead of scanning every successor. The
-// returned logits are owned by the Session.
+// Replay re-executes the sub-graph downstream of nodeID from cached
+// exact activations with the input of nodeID perturbed by inject,
+// touching exactly the precomputed dirty-set — injecting at layer K
+// costs only the K..Ł suffix, which is what makes per-layer profiling
+// affordable. acts must come from ForwardAll on a DIFFERENT Session:
+// Replay writes into its own buffers, which would corrupt a cache
+// that lives in them. The returned logits are owned by the Session.
 func (s *Session) Replay(acts []*tensor.Tensor, nodeID int, inject nn.Injector) *tensor.Tensor {
 	net := s.plan.net
 	if nodeID <= 0 || nodeID >= len(net.Nodes) {
 		panic(fmt.Sprintf("exec: Replay node %d out of range", nodeID))
+	}
+	if &acts[0] == &s.cur[0] {
+		panic("exec: Replay of this Session's own ForwardAll activations")
 	}
 	copy(s.cur, acts)
 	batch := acts[0].Shape[0]
@@ -181,9 +174,11 @@ func (s *Session) flushStats() {
 }
 
 // ForwardInject runs a full forward pass with the per-node injection
-// plan applied (each injected node sees a privately perturbed copy of
-// its first input, exactly like nn.ForwardInject). The returned logits
-// are owned by the Session.
+// plan applied — the paper's Scheme 1 simultaneous multi-layer
+// injection. Each injected node sees a privately perturbed copy of its
+// first input, so a tensor consumed by several nodes is only perturbed
+// as seen by the injected node. The returned logits are owned by the
+// Session.
 func (s *Session) ForwardInject(x *tensor.Tensor, inject map[int]nn.Injector) *tensor.Tensor {
 	net := s.plan.net
 	batch := x.Shape[0]
@@ -203,11 +198,15 @@ func (s *Session) ForwardInject(x *tensor.Tensor, inject map[int]nn.Injector) *t
 
 // Forward runs a plain full forward pass through the arenas and
 // returns the logits (owned by the Session).
-//
-// Note: cached-activation slices fed to Replay must come from an
-// allocating pass (nn.Network.ForwardAll), never from this Session's
-// own buffers — Replay writes into those buffers and would corrupt
-// the cache.
 func (s *Session) Forward(x *tensor.Tensor) *tensor.Tensor {
 	return s.ForwardInject(x, nil)
+}
+
+// ForwardAll runs a plain full forward pass and returns the activation
+// of every node, indexed by node ID — the Session's own view, valid
+// until its next call. It is the clean pass whose activations a
+// profiler caches and feeds to Replay on other Sessions.
+func (s *Session) ForwardAll(x *tensor.Tensor) []*tensor.Tensor {
+	s.ForwardInject(x, nil)
+	return s.cur
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"mupod/internal/exec"
 	"mupod/internal/profile"
 	"mupod/internal/rng"
 	"mupod/internal/search"
@@ -126,13 +127,15 @@ func outputErrorHistogram(l loaded, prof *profile.Profile, sigma float64, o Opts
 		n = l.test.Len()
 	}
 	batch := l.test.Batch(0, n)
-	exact := l.net.Forward(batch)
+	// exact is cloned: ForwardInject below reuses the session's buffers.
+	sess := exec.NewSession(exec.NewPlan(l.net))
+	exact := sess.Forward(batch).Clone()
 	r := rng.New(o.Seed ^ 0x4157)
 	var errs []float64
 	// Multiple noise realizations to reach a smooth histogram.
 	for rep := 0; rep < 6; rep++ {
 		plan := search.Scheme1Plan(prof, sigma, r)
-		out := l.net.ForwardInject(batch, plan)
+		out := sess.ForwardInject(batch, plan)
 		for i := range out.Data {
 			errs = append(errs, out.Data[i]-exact.Data[i])
 		}

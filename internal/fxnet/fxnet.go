@@ -26,6 +26,7 @@ import (
 	"mupod/internal/core"
 	"mupod/internal/exec"
 	"mupod/internal/fixedpoint"
+	"mupod/internal/kernels"
 	"mupod/internal/nn"
 	"mupod/internal/tensor"
 )
@@ -107,6 +108,7 @@ func Run(net *nn.Network, alloc *core.Allocation, cfg Config, x *tensor.Tensor) 
 	}
 
 	rep := &Report{}
+	be := kernels.Default()
 	acts := make([]*tensor.Tensor, len(net.Nodes))
 	acts[0] = x
 	for _, nd := range net.Nodes[1:] {
@@ -116,7 +118,7 @@ func Run(net *nn.Network, alloc *core.Allocation, cfg Config, x *tensor.Tensor) 
 		}
 		f, quantized := formats[nd.ID]
 		if !quantized {
-			acts[nd.ID] = nd.Layer.Forward(ins)
+			acts[nd.ID] = nn.Apply(be, nd.Layer, ins)
 			continue
 		}
 		out, lr, err := integerForward(nd, ins[0], f, wFormats[nd.ID])

@@ -7,6 +7,7 @@ import (
 
 	"mupod/internal/baseline"
 	"mupod/internal/core"
+	"mupod/internal/exec"
 	"mupod/internal/fixedpoint"
 	"mupod/internal/profile"
 	"mupod/internal/search"
@@ -48,7 +49,7 @@ func TestIntegerMatchesFloatSimulation(t *testing.T) {
 	// Float-simulated: quantize weights in place, inject input
 	// quantization, ordinary float forward.
 	restore := baseline.QuantizeWeights(net, wBits)
-	floatOut := net.ForwardInject(batch, alloc.InjectionPlan())
+	floatOut := exec.NewSession(exec.NewPlan(net)).ForwardInject(batch, alloc.InjectionPlan())
 	restore()
 
 	intOut, rep, err := Run(net, alloc, Config{WeightBits: wBits}, batch)

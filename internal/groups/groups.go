@@ -220,7 +220,10 @@ func RunContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, cfg C
 		return nil, fmt.Errorf("groups: %w", err)
 	}
 	batch := ds.Batch(0, pc.Images)
-	acts := net.ForwardAllOn(kernels.MustNew(pc.Kernel), batch)
+	// The clean pass runs on its own Session so no replay session ever
+	// writes into the cached activations.
+	plan := exec.NewPlan(net)
+	acts := exec.NewSessionPolicy(plan, pc.Kernel).ForwardAll(batch)
 	exact := acts[len(acts)-1]
 
 	// Sequential prep: group bounds, metadata, Δ grid, pre-split RNGs.
@@ -264,7 +267,6 @@ func RunContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, cfg C
 	if pol.IntraWorkers == 0 {
 		pol.IntraWorkers = kernels.IntraBudget(ev.Workers())
 	}
-	plan := exec.NewPlan(net)
 	sessions := make([]*exec.Session, ev.Workers())
 	err := ev.Map(ctx, len(items), func(ctx context.Context, worker, i int) error {
 		if err := ctx.Err(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mupod/internal/exec"
 	"mupod/internal/tensor"
 	"mupod/internal/zoo"
 )
@@ -44,7 +45,7 @@ func TestParseBuildsNetwork(t *testing.T) {
 		t.Fatal("seeded parse left zero weights")
 	}
 	// And the network must actually run.
-	out := net.Forward(tensor.New(2, 3, 8, 8))
+	out := exec.NewSession(exec.NewPlan(net)).Forward(tensor.New(2, 3, 8, 8))
 	if out.Shape[0] != 2 || out.Shape[1] != 10 {
 		t.Fatalf("forward shape %v", out.Shape)
 	}
@@ -145,7 +146,7 @@ gap g in=p
 		t.Fatal(err)
 	}
 	// maxpool stride defaults to k.
-	out := net.Forward(tensor.New(1, 2, 4, 4))
+	out := exec.NewSession(exec.NewPlan(net)).Forward(tensor.New(1, 2, 4, 4))
 	if out.Shape[1] != 2 {
 		t.Fatalf("forward shape %v", out.Shape)
 	}

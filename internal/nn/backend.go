@@ -5,22 +5,17 @@ import (
 	"mupod/internal/tensor"
 )
 
-// BackendForwarder is implemented by layers whose forward pass is dense
-// math delegated to a kernels.Backend — conv (im2col+GEMM), depthwise
-// conv, fully connected, and the pooling layers (plane fan-out). The
-// scratch contract is identical to IntoForwarder; the extra parameter
-// selects the compute implementation per call instead of per process,
-// so concurrent sessions can run different kernel policies.
-type BackendForwarder interface {
-	ForwardIntoOn(be kernels.Backend, ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64
-}
+// The layers in this file delegate their dense math to the kernel
+// backend passed per call — conv (im2col+GEMM), depthwise conv, fully
+// connected, and the pooling layers (plane fan-out) — so concurrent
+// sessions can run different kernel policies.
 
 // convGeom builds the kernel-layer geometry for one conv/pool call.
 func convGeom(h, w, k, stride, pad, oh, ow int) kernels.ConvGeom {
 	return kernels.ConvGeom{H: h, W: w, K: k, Stride: stride, Pad: pad, OH: oh, OW: ow}
 }
 
-// ForwardIntoOn implements BackendForwarder: the convolution as
+// ForwardIntoOn implements Layer: the convolution as
 // OutC×(InC·K·K) times (InC·K·K)×(OH·OW) per image, with the im2col
 // column matrix carried in scratch instead of allocated per call.
 func (c *Conv2D) ForwardIntoOn(be kernels.Backend, ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
@@ -43,7 +38,7 @@ func (c *Conv2D) ForwardIntoOn(be kernels.Backend, ins []*tensor.Tensor, out *te
 	return scratch
 }
 
-// ForwardIntoOn implements BackendForwarder.
+// ForwardIntoOn implements Layer.
 func (d *DepthwiseConv2D) ForwardIntoOn(be kernels.Backend, ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
 	checkInputs("dwconv", ins, 1)
 	x := ins[0]
@@ -54,7 +49,7 @@ func (d *DepthwiseConv2D) ForwardIntoOn(be kernels.Backend, ins []*tensor.Tensor
 	return scratch
 }
 
-// ForwardIntoOn implements BackendForwarder.
+// ForwardIntoOn implements Layer.
 func (d *Dense) ForwardIntoOn(be kernels.Backend, ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
 	checkInputs("fc", ins, 1)
 	x := ins[0]
@@ -62,7 +57,7 @@ func (d *Dense) ForwardIntoOn(be kernels.Backend, ins []*tensor.Tensor, out *ten
 	return scratch
 }
 
-// ForwardIntoOn implements BackendForwarder: each of the N·C planes is
+// ForwardIntoOn implements Layer: each of the N·C planes is
 // an independent fan unit, so the parallel backend shards pooling
 // across its intra-op workers (per-plane loops are order-free —
 // identical bits at any worker count).
@@ -80,7 +75,7 @@ func (p *MaxPool2D) ForwardIntoOn(be kernels.Backend, ins []*tensor.Tensor, out 
 	return scratch
 }
 
-// ForwardIntoOn implements BackendForwarder.
+// ForwardIntoOn implements Layer.
 func (p *AvgPool2D) ForwardIntoOn(be kernels.Backend, ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
 	checkInputs("avgpool", ins, 1)
 	x := ins[0]
@@ -96,7 +91,7 @@ func (p *AvgPool2D) ForwardIntoOn(be kernels.Backend, ins []*tensor.Tensor, out 
 	return scratch
 }
 
-// ForwardIntoOn implements BackendForwarder.
+// ForwardIntoOn implements Layer.
 func (GlobalAvgPool) ForwardIntoOn(be kernels.Backend, ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
 	checkInputs("gap", ins, 1)
 	x := ins[0]

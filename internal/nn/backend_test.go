@@ -50,19 +50,21 @@ func TestConvBackendsAgree(t *testing.T) {
 	}
 }
 
-// TestForwardMatchesForwardIntoOnDefault pins Forward (and ForwardInto)
-// to ForwardIntoOn with the default backend, bitwise.
+// TestForwardMatchesForwardIntoOnDefault pins the allocating Apply to
+// ForwardIntoOn on the default backend into a dirty pooled buffer,
+// bitwise: every output element must be overwritten.
 func TestForwardMatchesForwardIntoOnDefault(t *testing.T) {
 	r := rng.New(34)
 	c := NewConv2D(2, 3, 3, 1, 1)
 	c.InitHe(r, 1)
 	x := randTensor(r, 1, 2, 6, 6)
-	a := c.Forward([]*tensor.Tensor{x})
+	a := Apply(kernels.Default(), c, []*tensor.Tensor{x})
 	b := tensor.New(c.OutShape([][]int{x.Shape})...)
+	b.Fill(math.NaN())
 	c.ForwardIntoOn(kernels.Default(), []*tensor.Tensor{x}, b, nil)
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
-			t.Fatal("Forward and default-backend ForwardIntoOn disagree")
+			t.Fatal("Apply and default-backend ForwardIntoOn disagree")
 		}
 	}
 }
@@ -75,7 +77,7 @@ func TestPoolAndDenseBackendsBitIdentical(t *testing.T) {
 	x := randTensor(r, 2, 4, 8, 8)
 	layers := []struct {
 		name string
-		l    BackendForwarder
+		l    Layer
 		in   *tensor.Tensor
 	}{
 		{"dwconv", NewDepthwiseConv2D(4, 3, 1, 1), x},
@@ -94,11 +96,10 @@ func TestPoolAndDenseBackendsBitIdentical(t *testing.T) {
 		fc.InitHe(r, 1)
 	}
 	for _, lc := range layers {
-		shaper := lc.l.(Layer)
 		var ref *tensor.Tensor
 		for _, name := range kernels.Names() {
 			be := kernels.MustNew(kernels.Policy{Impl: name, IntraWorkers: 4})
-			out := tensor.New(shaper.OutShape([][]int{lc.in.Shape})...)
+			out := tensor.New(lc.l.OutShape([][]int{lc.in.Shape})...)
 			lc.l.ForwardIntoOn(be, []*tensor.Tensor{lc.in}, out, nil)
 			if ref == nil {
 				ref = out

@@ -79,17 +79,6 @@ func (c *Conv2D) Params() []Param {
 	return []Param{{"W", c.W, c.dW}, {"B", c.B, c.dB}}
 }
 
-// Forward implements Layer via im2col+GEMM on the default kernel
-// backend. The loops live in internal/kernels behind ForwardIntoOn;
-// pooled execution (internal/exec) calls ForwardIntoOn directly to skip
-// the per-call output allocation and pick its own backend.
-func (c *Conv2D) Forward(ins []*tensor.Tensor) *tensor.Tensor {
-	checkInputs("conv", ins, 1)
-	out := tensor.New(c.OutShape([][]int{ins[0].Shape})...)
-	c.ForwardInto(ins, out, nil)
-	return out
-}
-
 // Backward implements Layer: accumulates dW/dB and returns dX.
 func (c *Conv2D) Backward(ins []*tensor.Tensor, out, gradOut *tensor.Tensor) []*tensor.Tensor {
 	x := ins[0]
@@ -197,14 +186,6 @@ func (d *DepthwiseConv2D) MACs(in [][]int) int {
 // Params implements Parameterized.
 func (d *DepthwiseConv2D) Params() []Param {
 	return []Param{{"W", d.W, d.dW}, {"B", d.B, d.dB}}
-}
-
-// Forward implements Layer.
-func (d *DepthwiseConv2D) Forward(ins []*tensor.Tensor) *tensor.Tensor {
-	checkInputs("dwconv", ins, 1)
-	out := tensor.New(d.OutShape([][]int{ins[0].Shape})...)
-	d.ForwardInto(ins, out, nil)
-	return out
 }
 
 // Backward implements Layer.

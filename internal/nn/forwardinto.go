@@ -1,3 +1,6 @@
+// Forward passes of the layers with no kernel work (flatten, ReLU,
+// add, concat), plus the pooling plane loops backend.go fans out.
+
 package nn
 
 import (
@@ -7,59 +10,15 @@ import (
 	"mupod/internal/tensor"
 )
 
-// IntoForwarder is implemented by layers that can compute their forward
-// pass into a caller-provided output tensor, enabling allocation-free
-// replays (internal/exec pools one output buffer per node and reuses it
-// across thousands of profiling replays).
-//
-// Contract: out must have the layer's exact output element count for
-// the given inputs (shape metadata is trusted, not checked on the hot
-// path); every element of out is overwritten, so a dirty buffer is
-// fine. scratch is optional reusable working memory — implementations
-// that need temporaries (the conv path's im2col columns) grow it as
-// needed and return it so the caller can pass it back next call.
-// Implementations that need no temporaries return scratch unchanged.
-//
-// Layers whose math lives in internal/kernels also implement
-// BackendForwarder; their ForwardInto is ForwardIntoOn on the default
-// backend.
-type IntoForwarder interface {
-	ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64
-}
-
-// growScratch returns a slice of at least n elements, reusing s's
-// backing array when it is large enough.
-func growScratch(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// ForwardInto implements IntoForwarder.
-func (c *Conv2D) ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
-	return c.ForwardIntoOn(kernels.Default(), ins, out, scratch)
-}
-
-// ForwardInto implements IntoForwarder.
-func (d *DepthwiseConv2D) ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
-	return d.ForwardIntoOn(kernels.Default(), ins, out, scratch)
-}
-
-// ForwardInto implements IntoForwarder.
-func (d *Dense) ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
-	return d.ForwardIntoOn(kernels.Default(), ins, out, scratch)
-}
-
-// ForwardInto implements IntoForwarder.
-func (Flatten) ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
+// ForwardIntoOn implements Layer.
+func (Flatten) ForwardIntoOn(_ kernels.Backend, ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
 	checkInputs("flatten", ins, 1)
 	copy(out.Data, ins[0].Data)
 	return scratch
 }
 
-// ForwardInto implements IntoForwarder.
-func (ReLU) ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
+// ForwardIntoOn implements Layer.
+func (ReLU) ForwardIntoOn(_ kernels.Backend, ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
 	checkInputs("relu", ins, 1)
 	for i, v := range ins[0].Data {
 		if v > 0 {
@@ -106,23 +65,8 @@ func avgPoolPlane(x, out []float64, base, oBase, w, oh, ow, k, stride int, inv f
 	}
 }
 
-// ForwardInto implements IntoForwarder.
-func (p *MaxPool2D) ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
-	return p.ForwardIntoOn(kernels.Default(), ins, out, scratch)
-}
-
-// ForwardInto implements IntoForwarder.
-func (p *AvgPool2D) ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
-	return p.ForwardIntoOn(kernels.Default(), ins, out, scratch)
-}
-
-// ForwardInto implements IntoForwarder.
-func (g GlobalAvgPool) ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
-	return g.ForwardIntoOn(kernels.Default(), ins, out, scratch)
-}
-
-// ForwardInto implements IntoForwarder.
-func (Add) ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
+// ForwardIntoOn implements Layer.
+func (Add) ForwardIntoOn(_ kernels.Backend, ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
 	checkInputs("add", ins, 2)
 	a, b := ins[0].Data, ins[1].Data
 	for i := range out.Data {
@@ -131,8 +75,8 @@ func (Add) ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor, scratch []float
 	return scratch
 }
 
-// ForwardInto implements IntoForwarder.
-func (Concat) ForwardInto(ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
+// ForwardIntoOn implements Layer.
+func (Concat) ForwardIntoOn(_ kernels.Backend, ins []*tensor.Tensor, out *tensor.Tensor, scratch []float64) []float64 {
 	outC := 0
 	for _, t := range ins {
 		outC += t.Shape[1]

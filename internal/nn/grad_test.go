@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"mupod/internal/kernels"
 	"mupod/internal/rng"
 	"mupod/internal/tensor"
 )
@@ -18,13 +19,13 @@ func numericalCheck(t *testing.T, l Layer, ins []*tensor.Tensor, seed uint64) {
 	const tol = 1e-5
 	r := rng.New(seed)
 
-	out := l.Forward(ins)
+	out := Apply(kernels.Default(), l, ins)
 	g := tensor.New(out.Shape...)
 	for i := range g.Data {
 		g.Data[i] = r.Uniform(-1, 1)
 	}
 	loss := func() float64 {
-		o := l.Forward(ins)
+		o := Apply(kernels.Default(), l, ins)
 		s := 0.0
 		for i, v := range o.Data {
 			s += v * g.Data[i]

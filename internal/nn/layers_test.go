@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"mupod/internal/kernels"
 	"mupod/internal/rng"
 	"mupod/internal/tensor"
 )
@@ -18,7 +19,7 @@ func TestConvForwardHandComputed(t *testing.T) {
 		4, 5, 6,
 		7, 8, 9,
 	}, 1, 1, 3, 3)
-	out := c.Forward([]*tensor.Tensor{x})
+	out := Apply(kernels.Default(), c, []*tensor.Tensor{x})
 	// window(0,0): 1·1+2·2+3·4+4·5 = 37; +bias = 37.5
 	want := []float64{37.5, 47.5, 67.5, 77.5}
 	for i, w := range want {
@@ -38,7 +39,7 @@ func TestConvPaddingAndStride(t *testing.T) {
 	for i := range x.Data {
 		x.Data[i] = float64(i)
 	}
-	out := c.Forward([]*tensor.Tensor{x})
+	out := Apply(kernels.Default(), c, []*tensor.Tensor{x})
 	if out.Shape[2] != 2 || out.Shape[3] != 2 {
 		t.Fatalf("shape %v", out.Shape)
 	}
@@ -55,7 +56,7 @@ func TestConvMultiChannelSum(t *testing.T) {
 	c := NewConv2D(2, 1, 1, 1, 0)
 	c.W.Data[0], c.W.Data[1] = 2, 3
 	x := tensor.FromSlice([]float64{1, 4}, 1, 2, 1, 1)
-	out := c.Forward([]*tensor.Tensor{x})
+	out := Apply(kernels.Default(), c, []*tensor.Tensor{x})
 	if out.Data[0] != 2*1+3*4 {
 		t.Fatalf("multi-channel conv = %v", out.Data[0])
 	}
@@ -73,7 +74,7 @@ func TestConvPanics(t *testing.T) {
 	mustPanic(t, func() { NewConv2D(0, 1, 3, 1, 1) })
 	mustPanic(t, func() {
 		c := NewConv2D(2, 1, 3, 1, 1)
-		c.Forward([]*tensor.Tensor{tensor.New(1, 3, 4, 4)}) // wrong channels
+		Apply(kernels.Default(), c, []*tensor.Tensor{tensor.New(1, 3, 4, 4)}) // wrong channels
 	})
 	mustPanic(t, func() {
 		c := NewConv2D(1, 1, 5, 1, 0)
@@ -86,7 +87,7 @@ func TestDepthwiseForward(t *testing.T) {
 	d.W.Data[0], d.W.Data[1] = 2, 5
 	d.B.Data[1] = 1
 	x := tensor.FromSlice([]float64{3, 7}, 1, 2, 1, 1)
-	out := d.Forward([]*tensor.Tensor{x})
+	out := Apply(kernels.Default(), d, []*tensor.Tensor{x})
 	if out.Data[0] != 6 || out.Data[1] != 36 {
 		t.Fatalf("dwconv = %v", out.Data)
 	}
@@ -104,7 +105,7 @@ func TestDenseForward(t *testing.T) {
 	copy(d.W.Data, []float64{1, 2, 3, 4, 5, 6})
 	d.B.Data[0], d.B.Data[1] = 0.5, -0.5
 	x := tensor.FromSlice([]float64{1, 1, 1}, 1, 3)
-	out := d.Forward([]*tensor.Tensor{x})
+	out := Apply(kernels.Default(), d, []*tensor.Tensor{x})
 	if out.Data[0] != 6.5 || out.Data[1] != 14.5 {
 		t.Fatalf("dense = %v", out.Data)
 	}
@@ -113,7 +114,7 @@ func TestDenseForward(t *testing.T) {
 func TestDenseAcceptsConvShape(t *testing.T) {
 	d := NewDense(8, 2)
 	x := tensor.New(3, 2, 2, 2) // 8 features per sample
-	out := d.Forward([]*tensor.Tensor{x})
+	out := Apply(kernels.Default(), d, []*tensor.Tensor{x})
 	if out.Shape[0] != 3 || out.Shape[1] != 2 {
 		t.Fatalf("shape %v", out.Shape)
 	}
@@ -125,7 +126,7 @@ func TestDensePanicsOnWrongFeatures(t *testing.T) {
 
 func TestReLU(t *testing.T) {
 	x := tensor.FromSlice([]float64{-1, 0, 2.5}, 3)
-	out := (ReLU{}).Forward([]*tensor.Tensor{x})
+	out := Apply(kernels.Default(), ReLU{}, []*tensor.Tensor{x})
 	if out.Data[0] != 0 || out.Data[1] != 0 || out.Data[2] != 2.5 {
 		t.Fatalf("relu = %v", out.Data)
 	}
@@ -139,7 +140,7 @@ func TestMaxPool(t *testing.T) {
 		9, 1, 2, 3,
 		1, 1, 4, 0,
 	}, 1, 1, 4, 4)
-	out := p.Forward([]*tensor.Tensor{x})
+	out := Apply(kernels.Default(), p, []*tensor.Tensor{x})
 	want := []float64{4, 8, 9, 4}
 	for i, w := range want {
 		if out.Data[i] != w {
@@ -154,7 +155,7 @@ func TestAvgPool(t *testing.T) {
 		1, 2, 5, 6,
 		3, 4, 7, 8,
 	}, 1, 1, 2, 4)
-	out := p.Forward([]*tensor.Tensor{x})
+	out := Apply(kernels.Default(), p, []*tensor.Tensor{x})
 	if out.Data[0] != 2.5 || out.Data[1] != 6.5 {
 		t.Fatalf("avgpool = %v", out.Data)
 	}
@@ -162,7 +163,7 @@ func TestAvgPool(t *testing.T) {
 
 func TestGlobalAvgPool(t *testing.T) {
 	x := tensor.FromSlice([]float64{1, 2, 3, 4, 10, 20, 30, 40}, 1, 2, 2, 2)
-	out := (GlobalAvgPool{}).Forward([]*tensor.Tensor{x})
+	out := Apply(kernels.Default(), GlobalAvgPool{}, []*tensor.Tensor{x})
 	if out.Data[0] != 2.5 || out.Data[1] != 25 {
 		t.Fatalf("gap = %v", out.Data)
 	}
@@ -174,7 +175,7 @@ func TestGlobalAvgPool(t *testing.T) {
 func TestAdd(t *testing.T) {
 	a := tensor.FromSlice([]float64{1, 2}, 1, 2)
 	b := tensor.FromSlice([]float64{10, 20}, 1, 2)
-	out := (Add{}).Forward([]*tensor.Tensor{a, b})
+	out := Apply(kernels.Default(), Add{}, []*tensor.Tensor{a, b})
 	if out.Data[0] != 11 || out.Data[1] != 22 {
 		t.Fatalf("add = %v", out.Data)
 	}
@@ -188,7 +189,7 @@ func TestAdd(t *testing.T) {
 func TestConcat(t *testing.T) {
 	a := tensor.FromSlice([]float64{1, 2, 3, 4}, 1, 1, 2, 2)
 	b := tensor.FromSlice([]float64{5, 6, 7, 8, 9, 10, 11, 12}, 1, 2, 2, 2)
-	out := (Concat{}).Forward([]*tensor.Tensor{a, b})
+	out := Apply(kernels.Default(), Concat{}, []*tensor.Tensor{a, b})
 	if out.Shape[1] != 3 {
 		t.Fatalf("concat shape %v", out.Shape)
 	}
@@ -208,7 +209,7 @@ func TestConcatBatch(t *testing.T) {
 	// Batch of 2: per-sample channel interleaving must be correct.
 	a := tensor.FromSlice([]float64{1, 2}, 2, 1, 1, 1)
 	b := tensor.FromSlice([]float64{10, 20}, 2, 1, 1, 1)
-	out := (Concat{}).Forward([]*tensor.Tensor{a, b})
+	out := Apply(kernels.Default(), Concat{}, []*tensor.Tensor{a, b})
 	want := []float64{1, 10, 2, 20}
 	for i, w := range want {
 		if out.Data[i] != w {
@@ -219,7 +220,7 @@ func TestConcatBatch(t *testing.T) {
 
 func TestFlatten(t *testing.T) {
 	x := tensor.New(2, 3, 4, 5)
-	out := (Flatten{}).Forward([]*tensor.Tensor{x})
+	out := Apply(kernels.Default(), Flatten{}, []*tensor.Tensor{x})
 	if out.Shape[0] != 2 || out.Shape[1] != 60 {
 		t.Fatalf("flatten shape %v", out.Shape)
 	}

@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 
-	"mupod/internal/kernels"
 	"mupod/internal/tensor"
 )
 
@@ -135,114 +134,6 @@ func (n *Network) NodeByName(name string) *Node {
 		}
 	}
 	return nil
-}
-
-func (n *Network) gather(acts []*tensor.Tensor, ids []int) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, len(ids))
-	for i, id := range ids {
-		out[i] = acts[id]
-	}
-	return out
-}
-
-// ForwardAll runs a full forward pass and returns the activation of
-// every node (index = node ID). x has shape [N, C, H, W].
-func (n *Network) ForwardAll(x *tensor.Tensor) []*tensor.Tensor {
-	return n.ForwardAllOn(kernels.Default(), x)
-}
-
-// ForwardAllOn is ForwardAll with every backend-dispatched layer
-// computed on be; layers with no kernel path run their own Forward.
-func (n *Network) ForwardAllOn(be kernels.Backend, x *tensor.Tensor) []*tensor.Tensor {
-	acts := make([]*tensor.Tensor, len(n.Nodes))
-	acts[0] = x
-	for _, nd := range n.Nodes[1:] {
-		acts[nd.ID] = forwardOn(be, nd.Layer, n.gather(acts, nd.Inputs))
-	}
-	return acts
-}
-
-// forwardOn computes one layer's forward pass on be when the layer
-// dispatches to the kernel backend, allocating the output tensor.
-func forwardOn(be kernels.Backend, l Layer, ins []*tensor.Tensor) *tensor.Tensor {
-	bf, ok := l.(BackendForwarder)
-	if !ok {
-		return l.Forward(ins)
-	}
-	inShapes := make([][]int, len(ins))
-	for i, t := range ins {
-		inShapes[i] = t.Shape
-	}
-	out := tensor.New(l.OutShape(inShapes)...)
-	bf.ForwardIntoOn(be, ins, out, nil)
-	return out
-}
-
-// Forward runs a full forward pass and returns the output logits.
-func (n *Network) Forward(x *tensor.Tensor) *tensor.Tensor {
-	acts := n.ForwardAll(x)
-	return acts[len(acts)-1]
-}
-
-// ForwardInject runs a forward pass perturbing the input of each node
-// in inject with its Injector before the node computes — the paper's
-// Scheme 1 simultaneous multi-layer injection. The perturbation applies
-// to a private copy, so a tensor consumed by several nodes is only
-// perturbed as seen by the injected node.
-func (n *Network) ForwardInject(x *tensor.Tensor, inject map[int]Injector) *tensor.Tensor {
-	acts := make([]*tensor.Tensor, len(n.Nodes))
-	acts[0] = x
-	for _, nd := range n.Nodes[1:] {
-		ins := n.gather(acts, nd.Inputs)
-		if fn, ok := inject[nd.ID]; ok {
-			cp := ins[0].Clone()
-			fn(cp)
-			ins = append([]*tensor.Tensor(nil), ins...)
-			ins[0] = cp
-		}
-		acts[nd.ID] = nd.Layer.Forward(ins)
-	}
-	return acts[len(acts)-1]
-}
-
-// ReplayFrom re-executes the sub-graph downstream of nodeID using
-// cached exact activations for everything that is unaffected, with the
-// input of nodeID perturbed by inject. It returns the resulting output
-// logits. This is what makes per-layer profiling affordable: injecting
-// at layer K costs only the K..Ł suffix of the network.
-func (n *Network) ReplayFrom(acts []*tensor.Tensor, nodeID int, inject Injector) *tensor.Tensor {
-	if nodeID <= 0 || nodeID >= len(n.Nodes) {
-		panic(fmt.Sprintf("nn: ReplayFrom node %d out of range", nodeID))
-	}
-	cur := make([]*tensor.Tensor, len(n.Nodes))
-	copy(cur, acts)
-	dirty := make([]bool, len(n.Nodes))
-
-	nd := n.Nodes[nodeID]
-	ins := n.gather(cur, nd.Inputs)
-	cp := ins[0].Clone()
-	inject(cp)
-	ins = append([]*tensor.Tensor(nil), ins...)
-	ins[0] = cp
-	cur[nodeID] = nd.Layer.Forward(ins)
-	dirty[nodeID] = true
-
-	for id := nodeID + 1; id < len(n.Nodes); id++ {
-		node := n.Nodes[id]
-		affected := false
-		for _, in := range node.Inputs {
-			if dirty[in] {
-				affected = true
-				break
-			}
-		}
-		if !affected {
-			continue
-		}
-		cur[id] = node.Layer.Forward(n.gather(cur, node.Inputs))
-		dirty[id] = true
-	}
-	return cur[len(n.Nodes)-1]
 }
 
 // Params returns every trainable parameter in node order.

@@ -37,14 +37,6 @@ func (p *MaxPool2D) OutShape(in [][]int) []int {
 	return []int{s[0], s[1], oh, ow}
 }
 
-// Forward implements Layer.
-func (p *MaxPool2D) Forward(ins []*tensor.Tensor) *tensor.Tensor {
-	checkInputs("maxpool", ins, 1)
-	out := tensor.New(p.OutShape([][]int{ins[0].Shape})...)
-	p.ForwardInto(ins, out, nil)
-	return out
-}
-
 // Backward implements Layer, routing each output gradient to the argmax
 // input position (recomputed from ins; ties go to the first maximum).
 func (p *MaxPool2D) Backward(ins []*tensor.Tensor, out, gradOut *tensor.Tensor) []*tensor.Tensor {
@@ -105,14 +97,6 @@ func (p *AvgPool2D) OutShape(in [][]int) []int {
 	return []int{s[0], s[1], oh, ow}
 }
 
-// Forward implements Layer.
-func (p *AvgPool2D) Forward(ins []*tensor.Tensor) *tensor.Tensor {
-	checkInputs("avgpool", ins, 1)
-	out := tensor.New(p.OutShape([][]int{ins[0].Shape})...)
-	p.ForwardInto(ins, out, nil)
-	return out
-}
-
 // Backward implements Layer.
 func (p *AvgPool2D) Backward(ins []*tensor.Tensor, out, gradOut *tensor.Tensor) []*tensor.Tensor {
 	x := ins[0]
@@ -150,14 +134,6 @@ func (GlobalAvgPool) Kind() string { return "gap" }
 func (GlobalAvgPool) OutShape(in [][]int) []int {
 	s := in[0]
 	return []int{s[0], s[1]}
-}
-
-// Forward implements Layer.
-func (GlobalAvgPool) Forward(ins []*tensor.Tensor) *tensor.Tensor {
-	checkInputs("gap", ins, 1)
-	out := tensor.New(ins[0].Shape[0], ins[0].Shape[1])
-	GlobalAvgPool{}.ForwardInto(ins, out, nil)
-	return out
 }
 
 // Backward implements Layer.

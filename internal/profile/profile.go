@@ -242,10 +242,12 @@ func RunContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, cfg C
 	// Step 1 of Sec. V-A: record the exact output Y_Ł (and every
 	// intermediate activation, enabling suffix-only replay) — on the
 	// same kernel backend the replay sessions will use, so cached
-	// activations and replays share one accumulation order.
+	// activations and replays share one accumulation order. It runs on
+	// its own Session, so no replay session ever writes into the cache.
 	pol := cfg.Kernel
+	plan := exec.NewPlan(net)
 	_, fsp := obs.Start(ctx, "profile.forward", obs.KV("batch", cfg.Images))
-	acts := net.ForwardAllOn(kernels.MustNew(pol), batch)
+	acts := exec.NewSessionPolicy(plan, pol).ForwardAll(batch)
 	fsp.End()
 	exact := acts[len(acts)-1]
 
@@ -284,7 +286,6 @@ func RunContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, cfg C
 		// spends whatever cores the sweep pool leaves idle.
 		pol.IntraWorkers = kernels.IntraBudget(ev.Workers())
 	}
-	plan := exec.NewPlan(net)
 	sessions := make([]*exec.Session, ev.Workers())
 	sctx, ssp := obs.Start(ctx, "profile.sweep",
 		obs.KV("layers", len(nodes)), obs.KV("items", len(items)))

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"mupod/internal/exec"
 	"mupod/internal/fixedpoint"
 	"mupod/internal/nn"
 	"mupod/internal/rng"
@@ -186,8 +187,10 @@ func TestProfileFailsOnDegenerateLayer(t *testing.T) {
 func TestEq6VarianceAdditivity(t *testing.T) {
 	net, _, te := testnet.Trained()
 	batch := te.Batch(0, 24)
-	acts := net.ForwardAll(batch)
+	plan := exec.NewPlan(net)
+	acts := exec.NewSession(plan).ForwardAll(batch)
 	exact := acts[len(acts)-1]
+	sess := exec.NewSession(plan)
 
 	nodes := net.AnalyzableNodes()
 	deltas := map[int]float64{}
@@ -202,7 +205,7 @@ func TestEq6VarianceAdditivity(t *testing.T) {
 		var pooled []float64
 		base := rng.New(uint64(id) * 7919)
 		for rep := 0; rep < reps; rep++ {
-			out := net.ReplayFrom(acts, id, UniformInjector(base.Split(), delta, false))
+			out := sess.Replay(acts, id, UniformInjector(base.Split(), delta, false))
 			for i := range diff {
 				pooled = append(pooled, out.Data[i]-exact.Data[i])
 			}
@@ -220,11 +223,11 @@ func TestEq6VarianceAdditivity(t *testing.T) {
 	var combined []float64
 	base := rng.New(99991)
 	for rep := 0; rep < reps; rep++ {
-		plan := map[int]nn.Injector{}
+		inj := map[int]nn.Injector{}
 		for _, id := range nodes {
-			plan[id] = UniformInjector(base.Split(), deltas[id], false)
+			inj[id] = UniformInjector(base.Split(), deltas[id], false)
 		}
-		out := net.ForwardInject(batch, plan)
+		out := sess.ForwardInject(batch, inj)
 		for i := range exact.Data {
 			combined = append(combined, out.Data[i]-exact.Data[i])
 		}

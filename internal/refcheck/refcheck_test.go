@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"mupod/internal/exec"
 	"mupod/internal/kernels"
 	"mupod/internal/nn"
 	"mupod/internal/optimize"
@@ -22,20 +23,20 @@ func randTensor(r *rng.RNG, shape ...int) *tensor.Tensor {
 	return x
 }
 
-// The reference network forward must agree with the allocating nn path
-// and the pooled exec path on every zoo fixture — this is the
-// differential test the whole package exists for.
+// The reference network forward must agree with the pooled exec path
+// on every zoo fixture — this is the differential test the whole
+// package exists for.
 func TestReferenceMatchesFastPathsOverZoo(t *testing.T) {
 	for _, f := range testnet.Zoo() {
 		x := f.Test.Batch(0, 24)
 		ref := ForwardNetwork(f.Net, x)
-		fast := f.Net.Forward(x)
+		fast := exec.NewSession(exec.NewPlan(f.Net)).Forward(x)
 		diff, err := CompareTensors(fast, ref)
 		if err != nil {
 			t.Fatalf("%s: %v", f.Name, err)
 		}
 		if diff > ForwardTol {
-			t.Errorf("%s: nn.Forward diverges from reference by %g", f.Name, diff)
+			t.Errorf("%s: exec.Session.Forward diverges from reference by %g", f.Name, diff)
 		}
 	}
 }

@@ -240,7 +240,8 @@ func TestLatencyFailpointTripsStageTimeout(t *testing.T) {
 // of submissions is shed with 429 + Retry-After and counted — and the
 // Retry-After estimate covers the in-flight job, not just the queue.
 func TestShedding429(t *testing.T) {
-	m := newTestManager(t, Config{Workers: 1, QueueDepth: 1, Resolver: blockingResolver})
+	resolver, entered := signalEntry(blockingResolver)
+	m := newTestManager(t, Config{Workers: 1, QueueDepth: 1, Resolver: resolver})
 	ts := httptest.NewServer(NewHandler(m))
 	defer ts.Close()
 
@@ -250,7 +251,7 @@ func TestShedding429(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitRunning(t, m, j1)
+	waitRunning(t, j1, entered)
 	if _, err := m.Submit(tinyRequest()); err != nil {
 		t.Fatal(err)
 	}

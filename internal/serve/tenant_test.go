@@ -22,11 +22,13 @@ import (
 
 // gateResolver resolves instantly except for requests marked with
 // gateSeed, which park until release is closed — a way to pin the
-// worker pool while a backlog accumulates.
+// worker pool while a backlog accumulates. Every test submits its gate
+// job first, so the returned channel (see signalEntry) closes when the
+// gate job has reached the resolver.
 const gateSeed = 999
 
-func gateResolver(release <-chan struct{}) Resolver {
-	return func(ctx context.Context, req *JobRequest) (*nn.Network, *dataset.Dataset, error) {
+func gateResolver(release <-chan struct{}) (Resolver, <-chan struct{}) {
+	return signalEntry(func(ctx context.Context, req *JobRequest) (*nn.Network, *dataset.Dataset, error) {
 		if req.Seed == gateSeed {
 			select {
 			case <-release:
@@ -35,7 +37,18 @@ func gateResolver(release <-chan struct{}) Resolver {
 			}
 		}
 		return testResolver(ctx, req)
-	}
+	})
+}
+
+// signalEntry wraps r; the returned channel closes the first time r is
+// entered.
+func signalEntry(r Resolver) (Resolver, <-chan struct{}) {
+	entered := make(chan struct{})
+	var once sync.Once
+	return func(ctx context.Context, req *JobRequest) (*nn.Network, *dataset.Dataset, error) {
+		once.Do(func() { close(entered) })
+		return r(ctx, req)
+	}, entered
 }
 
 func tenantRequest(tenant string) JobRequest {
@@ -51,11 +64,12 @@ func tenantRequest(tenant string) JobRequest {
 // content-addressed, not tenant-scoped.
 func TestFairnessWeightedCompletion(t *testing.T) {
 	release := make(chan struct{})
+	resolver, entered := gateResolver(release)
 	m := newTestManager(t, Config{
 		Workers:       1,
 		QueueDepth:    64,
 		TenantWeights: map[string]int{"a": 2, "b": 1},
-		Resolver:      gateResolver(release),
+		Resolver:      resolver,
 	})
 
 	// Pin the worker so the whole backlog is queued before any of it is
@@ -66,7 +80,7 @@ func TestFairnessWeightedCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitRunning(t, m, gj)
+	waitRunning(t, gj, entered)
 
 	// Interleave the submissions adversarially (b first, alternating):
 	// arrival order must not matter, only weights.
@@ -138,18 +152,18 @@ func TestFairnessWeightedCompletion(t *testing.T) {
 	}
 }
 
-// waitRunning polls until the job reaches StateRunning (and is counted
-// in-flight, which happens on the same path before the journal append).
-func waitRunning(t *testing.T, m *Manager, j *Job) {
+// waitRunning blocks until entered (from signalEntry) closes: job j's
+// worker has reached the resolver. runJob counts the job in-flight and
+// appends its running record to the journal before it resolves, so
+// once this returns those writes are done. The job state alone is not
+// enough: it turns running before the journal append.
+func waitRunning(t *testing.T, j *Job, entered <-chan struct{}) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if j.State() == StateRunning && m.inflight.Load() > 0 {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("job %s never reached its resolver (state %s)", j.ID(), j.State())
 	}
-	t.Fatalf("job %s never reached running (state %s)", j.ID(), j.State())
 }
 
 // TestBatchSubmitSingleFlush: a batch of N accepted jobs costs exactly
@@ -158,9 +172,10 @@ func TestBatchSubmitSingleFlush(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	dir := t.TempDir()
+	resolver, entered := gateResolver(release)
 	m := newTestManager(t, Config{
 		Workers: 1, QueueDepth: 16, DataDir: dir, NoFsync: true,
-		Resolver: gateResolver(release),
+		Resolver: resolver,
 	})
 
 	gate := tinyRequest()
@@ -169,7 +184,7 @@ func TestBatchSubmitSingleFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitRunning(t, m, gj)
+	waitRunning(t, gj, entered)
 
 	before := m.journal.Flushes()
 	reqs := make([]JobRequest, 5)
@@ -199,8 +214,9 @@ func TestBatchSubmitSingleFlush(t *testing.T) {
 func TestBatchEndpointPartialAccept(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
+	resolver, entered := gateResolver(release)
 	m := newTestManager(t, Config{
-		Workers: 1, QueueDepth: 3, Resolver: gateResolver(release),
+		Workers: 1, QueueDepth: 3, Resolver: resolver,
 	})
 	ts := httptest.NewServer(NewHandler(m))
 	defer ts.Close()
@@ -211,7 +227,7 @@ func TestBatchEndpointPartialAccept(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitRunning(t, m, gj)
+	waitRunning(t, gj, entered)
 
 	item := `{"model":"testnet","profile":{"images":8,"points":5,"seed":1},"search":{"reldrop":0.05,"evalimages":64,"tol":0.2,"seed":2}}`
 	body := fmt.Sprintf(`{"jobs":[%s,%s,%s,%s,%s]}`, item, item, item, item, item)
@@ -258,8 +274,9 @@ func TestBatchEndpointPartialAccept(t *testing.T) {
 func TestTenantQuota(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
+	resolver, entered := gateResolver(release)
 	m := newTestManager(t, Config{
-		Workers: 1, QueueDepth: 16, TenantQuota: 2, Resolver: gateResolver(release),
+		Workers: 1, QueueDepth: 16, TenantQuota: 2, Resolver: resolver,
 	})
 
 	gate := tinyRequest()
@@ -268,7 +285,7 @@ func TestTenantQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitRunning(t, m, gj)
+	waitRunning(t, gj, entered)
 
 	for i := 0; i < 2; i++ {
 		if _, err := m.Submit(tenantRequest("greedy")); err != nil {
@@ -368,9 +385,10 @@ func TestRetryRequeueRespectsQueueDepth(t *testing.T) {
 	// Uptime A: park the worker and build a 3-job backlog, then crash.
 	releaseA := make(chan struct{})
 	defer close(releaseA)
+	resolverA, entered := gateResolver(releaseA)
 	a := newTestManager(t, Config{
 		Workers: 1, QueueDepth: 8, DataDir: dir, NoFsync: true,
-		Resolver: gateResolver(releaseA),
+		Resolver: resolverA,
 	})
 	gate := tinyRequest()
 	gate.Seed = gateSeed
@@ -378,7 +396,7 @@ func TestRetryRequeueRespectsQueueDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitRunning(t, a, gj)
+	waitRunning(t, gj, entered)
 	for i := 0; i < 3; i++ {
 		// The backlog jobs gate too: in uptime B they pin the worker so
 		// the recovered queue provably stays above the new depth.
@@ -399,10 +417,11 @@ func TestRetryRequeueRespectsQueueDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 	releaseB := make(chan struct{})
+	resolverB, _ := gateResolver(releaseB)
 	b := newTestManager(t, Config{
 		Workers: 1, QueueDepth: 1, DataDir: dir, NoFsync: true,
 		MaxAttempts: 3, RetryBaseDelay: 2 * time.Millisecond, RetryMaxDelay: 4 * time.Millisecond,
-		Resolver: gateResolver(releaseB),
+		Resolver: resolverB,
 	})
 	first, err := b.Get(gj.ID())
 	if err != nil {
@@ -529,9 +548,10 @@ func TestAdmissionRaceHammer(t *testing.T) {
 	// Build a recovered backlog above QueueDepth.
 	releaseA := make(chan struct{})
 	defer close(releaseA)
+	resolverA, entered := gateResolver(releaseA)
 	a := newTestManager(t, Config{
 		Workers: 1, QueueDepth: 16, DataDir: dir, NoFsync: true,
-		Resolver: gateResolver(releaseA),
+		Resolver: resolverA,
 	})
 	gate := tinyRequest()
 	gate.Seed = gateSeed
@@ -539,7 +559,7 @@ func TestAdmissionRaceHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitRunning(t, a, gj)
+	waitRunning(t, gj, entered)
 	for i := 0; i < 7; i++ {
 		if _, err := a.Submit(tenantRequest(fmt.Sprintf("t%d", i%3))); err != nil {
 			t.Fatal(err)

@@ -3,12 +3,12 @@ package testnet
 import (
 	"testing"
 
+	"mupod/internal/exec"
 	"mupod/internal/nn"
 )
 
-// Every ForwardInto kernel the execution engine implements must be
-// reachable through some zoo fixture, or the differential self-check
-// has a blind spot.
+// Every layer kind the execution engine runs must be reachable through
+// some zoo fixture, or the differential self-check has a blind spot.
 func TestZooCoversAllLayerKinds(t *testing.T) {
 	want := map[string]bool{
 		"conv": false, "dwconv": false, "fc": false, "flatten": false,
@@ -35,7 +35,8 @@ func TestZooCoversAllLayerKinds(t *testing.T) {
 
 func TestZooNetsForwardAndClassify(t *testing.T) {
 	for _, f := range Zoo() {
-		out := f.Net.Forward(f.Test.Batch(0, 16))
+		sess := exec.NewSession(exec.NewPlan(f.Net))
+		out := sess.Forward(f.Test.Batch(0, 16))
 		preds := nn.Argmax(out)
 		if len(preds) != 16 {
 			t.Fatalf("%s: %d predictions for 16 images", f.Name, len(preds))
@@ -47,7 +48,7 @@ func TestZooNetsForwardAndClassify(t *testing.T) {
 			if start+size > n {
 				size = n - start
 			}
-			for i, p := range nn.Argmax(f.Net.Forward(f.Test.Batch(start, size))) {
+			for i, p := range nn.Argmax(sess.Forward(f.Test.Batch(start, size))) {
 				if p == f.Test.Labels[start+i] {
 					correct++
 				}
@@ -61,8 +62,9 @@ func TestZooNetsForwardAndClassify(t *testing.T) {
 
 func TestZooDeterministic(t *testing.T) {
 	net, _, te := ZooNet("dwsep")
-	a := nn.Argmax(net.Forward(te.Batch(0, 8)))
-	b := nn.Argmax(net.Forward(te.Batch(0, 8)))
+	sess := exec.NewSession(exec.NewPlan(net))
+	a := nn.Argmax(sess.Forward(te.Batch(0, 8)))
+	b := nn.Argmax(sess.Forward(te.Batch(0, 8)))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("repeated forward passes disagree")

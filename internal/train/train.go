@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"mupod/internal/dataset"
+	"mupod/internal/exec"
 	"mupod/internal/nn"
 	"mupod/internal/rng"
 	"mupod/internal/tensor"
@@ -146,6 +147,7 @@ func Run(net *nn.Network, ds *dataset.Dataset, cfg Config) History {
 	labels := make([]int, cfg.BatchSize)
 	batch := tensor.New(cfg.BatchSize, ds.C, ds.H, ds.W)
 	stride := ds.C * ds.H * ds.W
+	sess := exec.NewSession(exec.NewPlan(net))
 
 	for step := 0; step < cfg.Steps; step++ {
 		// Sample a minibatch with replacement.
@@ -156,7 +158,7 @@ func Run(net *nn.Network, ds *dataset.Dataset, cfg Config) History {
 		}
 
 		net.ZeroGrads()
-		acts := net.ForwardAll(batch)
+		acts := sess.ForwardAll(batch)
 		loss, gradLogits := SoftmaxCrossEntropy(acts[len(acts)-1], labels)
 		Backward(net, acts, gradLogits)
 		hist.Losses = append(hist.Losses, loss)
@@ -232,12 +234,13 @@ func Accuracy(net *nn.Network, ds *dataset.Dataset, batchSize int) float64 {
 		batchSize = 32
 	}
 	correct := 0
+	sess := exec.NewSession(exec.NewPlan(net))
 	for start := 0; start < ds.Len(); start += batchSize {
 		n := batchSize
 		if start+n > ds.Len() {
 			n = ds.Len() - start
 		}
-		logits := net.Forward(ds.Batch(start, n))
+		logits := sess.Forward(ds.Batch(start, n))
 		preds := nn.Argmax(logits)
 		for i, p := range preds {
 			if p == ds.Labels[start+i] {

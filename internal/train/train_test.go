@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mupod/internal/dataset"
+	"mupod/internal/exec"
 	"mupod/internal/nn"
 	"mupod/internal/rng"
 	"mupod/internal/tensor"
@@ -84,13 +85,14 @@ func TestBackwardThroughNetworkMatchesNumerical(t *testing.T) {
 	}
 	labels := []int{0, 2}
 
+	sess := exec.NewSession(exec.NewPlan(net))
 	lossOf := func() float64 {
-		l, _ := SoftmaxCrossEntropy(net.Forward(in), labels)
+		l, _ := SoftmaxCrossEntropy(sess.Forward(in), labels)
 		return l
 	}
 
 	net.ZeroGrads()
-	acts := net.ForwardAll(in)
+	acts := sess.ForwardAll(in)
 	_, g := SoftmaxCrossEntropy(acts[len(acts)-1], labels)
 	Backward(net, acts, g)
 

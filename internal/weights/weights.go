@@ -23,7 +23,6 @@ import (
 	"mupod/internal/dataset"
 	"mupod/internal/exec"
 	"mupod/internal/fixedpoint"
-	"mupod/internal/kernels"
 	"mupod/internal/nn"
 	"mupod/internal/profile"
 	"mupod/internal/rng"
@@ -118,9 +117,12 @@ func RunContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, cfg C
 		return nil, fmt.Errorf("weights: %w", err)
 	}
 	batch := ds.Batch(0, cfg.Images)
-	acts := net.ForwardAllOn(kernels.MustNew(cfg.Kernel), batch)
+	// Clean pass and replays on separate Sessions: replays write into
+	// their own session's buffers, never the cached activations.
+	plan := exec.NewPlan(net)
+	acts := exec.NewSessionPolicy(plan, cfg.Kernel).ForwardAll(batch)
 	exact := acts[len(acts)-1]
-	sess := exec.NewSessionPolicy(exec.NewPlan(net), cfg.Kernel)
+	sess := exec.NewSessionPolicy(plan, cfg.Kernel)
 
 	p := &Profile{NetName: net.Name}
 	for _, nodeID := range net.AnalyzableNodes() {

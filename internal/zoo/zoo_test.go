@@ -3,6 +3,7 @@ package zoo
 import (
 	"testing"
 
+	"mupod/internal/exec"
 	"mupod/internal/train"
 )
 
@@ -62,7 +63,7 @@ func TestForwardShapes(t *testing.T) {
 	for _, a := range All {
 		net := Build(a, Seed)
 		_, te := Data(a)
-		out := net.Forward(te.Batch(0, 2))
+		out := exec.NewSession(exec.NewPlan(net)).Forward(te.Batch(0, 2))
 		if out.Shape[0] != 2 || out.Shape[1] != 10 {
 			t.Errorf("%s: output shape %v", a, out.Shape)
 		}
