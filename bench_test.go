@@ -193,8 +193,9 @@ func BenchmarkAblationSolver(b *testing.B) {
 }
 
 // BenchmarkAblationScheme compares the cost of the two σ-validation
-// schemes: Scheme 1 re-runs the whole network with per-layer injection,
-// Scheme 2 only perturbs the logits.
+// schemes: Scheme 1 re-runs the whole network with per-layer injection
+// at every probe, Scheme 2 runs one clean forward per search and only
+// perturbs copies of its logits at every probe.
 func BenchmarkAblationScheme(b *testing.B) {
 	net := zoo.MustLoad(zoo.AlexNet)
 	_, te := zoo.Data(zoo.AlexNet)

@@ -109,39 +109,43 @@ func TestAllocationBitIdenticalAcrossWorkers(t *testing.T) {
 // backend — at ANY intra-op worker count — is float64-for-float64
 // equal to the "blocked" run, which in turn equals the default (zero
 // KernelPolicy) run. Intra-op tiling, like inter-op workers, is a pure
-// latency/CPU trade.
+// latency/CPU trade. Both σ-search schemes are covered: Scheme 1
+// injects at every layer per probe, Scheme 2 scores noisy copies of
+// one clean forward's logits.
 func TestAllocationBitIdenticalAcrossKernels(t *testing.T) {
 	net, _, te := testnet.Trained()
-	run := func(pol kernels.Policy) *core.Result {
-		res, err := core.Run(net, te, core.Config{
-			Profile:   profile.Config{Images: 16, Points: 6, Seed: 7},
-			Search:    search.Options{Scheme: search.Scheme1Uniform, RelDrop: 0.05, EvalImages: 120, Seed: 3},
-			Objective: core.MinimizeInputBits,
-			Guard:     true,
-			Workers:   2,
-			Kernel:    pol,
-		})
-		if err != nil {
-			t.Fatal(err)
+	for _, scheme := range []search.Scheme{search.Scheme1Uniform, search.Scheme2Gaussian} {
+		run := func(pol kernels.Policy) *core.Result {
+			res, err := core.Run(net, te, core.Config{
+				Profile:   profile.Config{Images: 16, Points: 6, Seed: 7},
+				Search:    search.Options{Scheme: scheme, RelDrop: 0.05, EvalImages: 120, Seed: 3},
+				Objective: core.MinimizeInputBits,
+				Guard:     true,
+				Workers:   2,
+				Kernel:    pol,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
 		}
-		return res
-	}
-	ref := run(kernels.Policy{})
-	for _, pol := range []kernels.Policy{
-		{Impl: "blocked"},
-		{Impl: "parallel", IntraWorkers: 1},
-		{Impl: "parallel", IntraWorkers: 5},
-	} {
-		got := run(pol)
-		if !reflect.DeepEqual(ref.Allocation, got.Allocation) {
-			t.Fatalf("kernel %+v: allocation diverges:\nref: %+v\ngot: %+v", pol, ref.Allocation, got.Allocation)
-		}
-		if !reflect.DeepEqual(ref.Search, got.Search) {
-			t.Fatalf("kernel %+v: embedded search result diverges", pol)
-		}
-		if ref.GuardedSigma != got.GuardedSigma || ref.GuardRetries != got.GuardRetries {
-			t.Fatalf("kernel %+v: guard outcome diverges: σ %v vs %v, retries %d vs %d",
-				pol, ref.GuardedSigma, got.GuardedSigma, ref.GuardRetries, got.GuardRetries)
+		ref := run(kernels.Policy{})
+		for _, pol := range []kernels.Policy{
+			{Impl: "blocked"},
+			{Impl: "parallel", IntraWorkers: 1},
+			{Impl: "parallel", IntraWorkers: 5},
+		} {
+			got := run(pol)
+			if !reflect.DeepEqual(ref.Allocation, got.Allocation) {
+				t.Fatalf("%v, kernel %+v: allocation diverges:\nref: %+v\ngot: %+v", scheme, pol, ref.Allocation, got.Allocation)
+			}
+			if !reflect.DeepEqual(ref.Search, got.Search) {
+				t.Fatalf("%v, kernel %+v: embedded search result diverges", scheme, pol)
+			}
+			if ref.GuardedSigma != got.GuardedSigma || ref.GuardRetries != got.GuardRetries {
+				t.Fatalf("%v, kernel %+v: guard outcome diverges: σ %v vs %v, retries %d vs %d",
+					scheme, pol, ref.GuardedSigma, got.GuardedSigma, ref.GuardRetries, got.GuardRetries)
+			}
 		}
 	}
 }

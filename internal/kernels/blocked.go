@@ -9,10 +9,11 @@ func init() {
 	Register("blocked", func(int) Backend { return blockedBackend{} })
 }
 
-// blockedBackend is the cache-blocked, register-tiled pure-Go
-// implementation: GEMM packs B into 4-column panels that stay resident
-// in L1 while a 2×4 micro-kernel streams A rows through 8 register
-// accumulators; depthwise conv hoists the padding bounds out of the
+// blockedBackend is the cache-blocked, register-tiled implementation:
+// GEMM packs B into 4-column panels that stay resident in L1 while a
+// micro-kernel streams A rows through register accumulators (8×4 in
+// assembly where the CPU has FMA3, see fma_amd64.go; 2×4 in Go for the
+// rest); depthwise conv hoists the padding bounds out of the
 // innermost loops; dense unrolls 4 output rows per x sweep.
 //
 // Every output element is still bias + Σ terms in the same ascending
@@ -60,6 +61,11 @@ func gemmBlockedCols(m, n, k int, a, b, bias, c []float64, j0, j1 int, pack []fl
 	for ; j+nr <= j1; j += nr {
 		packPanel(k, n, b, j, pack)
 		i := 0
+		if haveFMAKernel && k > 0 {
+			for ; i+8 <= m; i += 8 {
+				kern8x4(k, a[i*k:], pack, c[i*n+j:], n, bias, i)
+			}
+		}
 		for ; i+2 <= m; i += 2 {
 			b0, b1 := 0.0, 0.0
 			if bias != nil {
@@ -189,6 +195,21 @@ func kern2x4(k int, a0, a1, pack []float64, c0, c1 []float64, bias0, bias1 float
 	}
 	c0[0], c0[1], c0[2], c0[3] = acc00, acc01, acc02, acc03
 	c1[0], c1[1], c1[2], c1[3] = acc10, acc11, acc12, acc13
+}
+
+// kern8x4 runs the assembly micro-kernel on rows i..i+7 of the
+// product: a starts at row i of A (row length k), c at row i of the
+// panel's first output column (row length n). The slice checks here
+// are the bounds checks the assembly does not make.
+func kern8x4(k int, a, pack, c []float64, n int, bias []float64, i int) {
+	_ = a[8*k-1]
+	_ = pack[nr*k-1]
+	_ = c[7*n+nr-1]
+	var b [8]float64
+	if bias != nil {
+		copy(b[:], bias[i:i+8])
+	}
+	kern8x4FMA(k, &a[0], k, &pack[0], &c[0], n, &b)
 }
 
 // kern1x4 handles the m%2 edge row: one A row against the panel.

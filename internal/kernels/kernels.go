@@ -10,8 +10,10 @@
 //     internal/nn. Slow, obvious, and the behavioral baseline every
 //     other backend is differentially checked against.
 //   - "blocked": cache-blocked, register-tiled GEMM over packed
-//     4-column panels with a 4×4 micro-kernel, hoisted-bounds
-//     depthwise conv, and a 4-row-unrolled dense kernel. Pure Go.
+//     4-column panels with a 2×4 Go micro-kernel (an 8×4 FMA3
+//     assembly micro-kernel on amd64 CPUs that have it),
+//     hoisted-bounds depthwise conv, and a 4-row-unrolled dense
+//     kernel.
 //   - "parallel": the blocked kernels with goroutine intra-op tiling —
 //     output columns/planes/rows of a single layer are sharded across
 //     a bounded worker set.
@@ -31,10 +33,14 @@
 // IEEE-defined ("computed with only one rounding"), so results are
 // identical whether the CPU fuses in hardware or the runtime falls
 // back to the software implementation — determinism is unaffected by
-// build flags or host CPU. Speed is not: on amd64 build with
-// GOAMD64=v3 to drop the per-call-site hardware check and emit bare
-// VFMADD instructions (~2.5× on the GEMM micro-kernel); this
-// repository's CI does.
+// build flags or host CPU. Speed is not: below GOAMD64=v3 every
+// math.FMA site compiles to a hardware check plus a fallback call,
+// whose register spills leave the Go micro-kernel no faster than
+// naive. On amd64 CPUs with FMA3 and AVX, 8-row blocks of the GEMM
+// therefore run an assembly micro-kernel (fma_amd64.s) that issues the
+// same fused multiply-adds, one per output lane in ascending l, at
+// every GOAMD64 level; the Go micro-kernels cover row tails, CPUs
+// without FMA3 and other architectures.
 package kernels
 
 import (

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -375,12 +376,18 @@ func gemmInputs(m, n, k int) (a, b, bias, c []float64) {
 }
 
 // TestBlockedFasterThanNaiveSmoke is the perf gate: blocked must beat
-// naive on the AlexNet conv2 GEMM shape. Best-of-3 timings damp
-// scheduler noise. The default bar is a deliberately loose 1.05× so a
-// GOAMD64=v1 build (where math.FMA pays a per-site hardware check, see
-// the package docs) still passes on a noisy shared core; CI builds
-// with GOAMD64=v3 and raises the bar via MUPOD_GEMM_SPEEDUP_MIN. The
-// recorded speedup on an idle core at v3 is ≥2× (BENCH_kernels.json).
+// naive on the AlexNet conv2 GEMM shape. The default bar is a
+// deliberately loose 1.05× so a GOAMD64=v1 build (where math.FMA pays
+// a per-site hardware check, see the package docs) still passes on a
+// shared core; CI builds with GOAMD64=v3 and raises the bar via
+// MUPOD_GEMM_SPEEDUP_MIN. The recorded speedup on an idle core at v3
+// is ≥2× (BENCH_kernels.json).
+//
+// Each run is timed on the goroutine's locked OS thread's CPU clock
+// (wall clock off Linux), so time the thread spends descheduled while
+// another test binary runs does not count; naive and blocked runs
+// alternate and each keeps its best of gemmSmokeRuns, so a slow
+// stretch of the host hits both backends alike.
 func TestBlockedFasterThanNaiveSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("perf smoke skipped in -short")
@@ -393,25 +400,27 @@ func TestBlockedFasterThanNaiveSmoke(t *testing.T) {
 		}
 		minSpeedup = v
 	}
+	const gemmSmokeRuns = 7
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
 	a, b, bias, c := gemmInputs(alexM, alexN, alexK)
-	timeBest := func(be Backend) time.Duration {
-		be.GEMM(alexM, alexN, alexK, a, b, bias, c) // warm caches
-		best := time.Duration(math.MaxInt64)
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			be.GEMM(alexM, alexN, alexK, a, b, bias, c)
-			if d := time.Since(start); d < best {
-				best = d
-			}
-		}
-		return best
+	timeOne := func(be Backend) time.Duration {
+		start := cpuClock()
+		be.GEMM(alexM, alexN, alexK, a, b, bias, c)
+		return cpuClock() - start
 	}
-	naive := timeBest(naiveBackend{})
-	blocked := timeBest(blockedBackend{})
+	nb, bb := naiveBackend{}, blockedBackend{}
+	timeOne(nb) // warm caches
+	timeOne(bb)
+	naive, blocked := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for i := 0; i < gemmSmokeRuns; i++ {
+		naive = min(naive, timeOne(nb))
+		blocked = min(blocked, timeOne(bb))
+	}
 	speedup := float64(naive) / float64(blocked)
-	t.Logf("GEMM %dx%dx%d: naive %v, blocked %v (%.2fx)", alexM, alexN, alexK, naive, blocked, speedup)
+	t.Logf("GEMM %dx%dx%d, best of %d by %s: naive %v, blocked %v (%.3fx)", alexM, alexN, alexK, gemmSmokeRuns, cpuClockName, naive, blocked, speedup)
 	if speedup <= minSpeedup {
-		t.Fatalf("blocked GEMM not faster than naive on %dx%dx%d: naive %v, blocked %v (%.2fx, want >%.2fx)",
+		t.Fatalf("blocked GEMM not faster than naive on %dx%dx%d: naive %v, blocked %v (%.3fx, want >%.2fx)",
 			alexM, alexN, alexK, naive, blocked, speedup, minSpeedup)
 	}
 }
@@ -444,5 +453,39 @@ func BenchmarkDWConvBackends(b *testing.B) {
 				be.DWConv(g, batch, channels, x, w, bias, out)
 			}
 		})
+	}
+}
+
+// TestGEMMFMAKernelBitIdentical pins the assembly micro-kernel to the
+// Go micro-kernels it replaces on 8-row blocks: same fused
+// multiply-adds in the same order, so identical bits, including
+// row/column tails, k not a multiple of the unroll and nil bias.
+func TestGEMMFMAKernelBitIdentical(t *testing.T) {
+	if !haveFMAKernel {
+		t.Skip("no assembly GEMM micro-kernel on this CPU/build")
+	}
+	shapes := []struct{ m, n, k int }{
+		{8, 4, 1}, {8, 5, 3}, {9, 8, 7}, {17, 13, 33}, {64, 300, 577}, {24, 4, 2},
+	}
+	r := rand.New(rand.NewSource(9))
+	gemm := func(asm bool, m, n, k int, a, b, bias []float64) []float64 {
+		defer func(old bool) { haveFMAKernel = old }(haveFMAKernel)
+		haveFMAKernel = asm
+		c := make([]float64, m*n)
+		blockedBackend{}.GEMM(m, n, k, a, b, bias, c)
+		return c
+	}
+	for _, sh := range shapes {
+		a, b, bias := fill(r, sh.m*sh.k), fill(r, sh.k*sh.n), fill(r, sh.m)
+		for _, bs := range [][]float64{bias, nil} {
+			want := gemm(false, sh.m, sh.n, sh.k, a, b, bs)
+			got := gemm(true, sh.m, sh.n, sh.k, a, b, bs)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("GEMM %dx%dx%d (bias %v): index %d: asm %x, Go %x",
+						sh.m, sh.n, sh.k, bs != nil, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
 	}
 }

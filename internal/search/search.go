@@ -8,7 +8,10 @@
 //     every analyzable layer simultaneously and measure accuracy.
 //   - Scheme 2 (gaussian_approx): exploit that the output error is
 //     approximately Gaussian (Fig. 3 right) and inject N(0, σ²) into
-//     the logits only — much cheaper, one forward pass suffices.
+//     the logits only — much cheaper, one forward pass suffices: a
+//     search keeps the clean logits of its exact-accuracy pass and
+//     every σ probe scores noisy copies of them, so a Scheme-2 search
+//     costs one forward per eval batch however many probes it makes.
 package search
 
 import (
@@ -175,56 +178,117 @@ func (r *runner) session(worker int) *exec.Session {
 	return r.sessions[worker]
 }
 
-// accuracy measures top-1 accuracy over the first n images, mapping
-// eval batches across the worker pool. planFor (optional) supplies a
-// per-batch injection plan — each plan must only be touched by its own
-// batch, which keeps stateful (RNG-carrying) injectors race-free.
-// noise (optional) perturbs a batch's logits in place before argmax
-// (Scheme 2). Per-batch correct counts are summed in batch order, so
-// the result is bit-identical at every worker count.
-func (r *runner) accuracy(ctx context.Context, ds *dataset.Dataset, n, batchSize int, planFor func(batch int) map[int]nn.Injector, noise func(batch int, logits *tensor.Tensor)) (float64, error) {
+// evalSize normalizes an eval-subset size and batch size the way every
+// accuracy evaluation does: n ≤ 0 or beyond the dataset means the
+// whole dataset, batchSize ≤ 0 means 32.
+func evalSize(ds *dataset.Dataset, n, batchSize int) (int, int) {
 	if n <= 0 || n > ds.Len() {
 		n = ds.Len()
 	}
 	if batchSize <= 0 {
 		batchSize = 32
 	}
+	return n, batchSize
+}
+
+// forEachBatch runs one forward per eval batch of the first n images,
+// mapping batches across the worker pool, and hands each batch's
+// logits (owned by the worker's session) to visit. planFor (optional)
+// supplies a per-batch injection plan — each plan must only be touched
+// by its own batch, which keeps stateful (RNG-carrying) injectors
+// race-free.
+func (r *runner) forEachBatch(ctx context.Context, ds *dataset.Dataset, n, batchSize int, planFor func(batch int) map[int]nn.Injector, visit func(b, start int, logits *tensor.Tensor)) error {
 	nBatches := (n + batchSize - 1) / batchSize
-	correct := make([]int, nBatches)
-	err := r.ev.Map(ctx, nBatches, func(ctx context.Context, worker, b int) error {
+	return r.ev.Map(ctx, nBatches, func(ctx context.Context, worker, b int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		start := b * batchSize
-		size := batchSize
-		if start+size > n {
-			size = n - start
-		}
+		size := min(batchSize, n-start)
 		var plan map[int]nn.Injector
 		if planFor != nil {
 			plan = planFor(b)
 		}
-		logits := r.session(worker).ForwardInject(ds.Batch(start, size), plan)
-		if noise != nil {
-			noise(b, logits)
-		}
-		c := 0
-		for i, p := range nn.Argmax(logits) {
-			if p == ds.Labels[start+i] {
-				c++
-			}
-		}
-		correct[b] = c
+		visit(b, start, r.session(worker).ForwardInject(ds.Batch(start, size), plan))
 		return nil
+	})
+}
+
+// correct counts the rows of logits whose argmax equals the matching
+// entry of labels.
+func correct(logits *tensor.Tensor, labels []int) int {
+	c := 0
+	for i, p := range nn.Argmax(logits) {
+		if p == labels[i] {
+			c++
+		}
+	}
+	return c
+}
+
+// accuracy measures top-1 accuracy over the first n images with an
+// optional per-batch injection plan (see forEachBatch). Per-batch
+// correct counts are summed in batch order, so the result is
+// bit-identical at every worker count.
+func (r *runner) accuracy(ctx context.Context, ds *dataset.Dataset, n, batchSize int, planFor func(batch int) map[int]nn.Injector) (float64, error) {
+	n, batchSize = evalSize(ds, n, batchSize)
+	counts := make([]int, (n+batchSize-1)/batchSize)
+	err := r.forEachBatch(ctx, ds, n, batchSize, planFor, func(b, start int, logits *tensor.Tensor) {
+		counts[b] = correct(logits, ds.Labels[start:])
 	})
 	if err != nil {
 		return 0, err
 	}
 	total := 0
-	for _, c := range correct {
+	for _, c := range counts {
 		total += c
 	}
 	return float64(total) / float64(n), nil
+}
+
+// cleanLogits is one clean forward over an eval subset, kept per eval
+// batch. Scheme 2 perturbs only the network output, so every σ probe
+// scores noisy copies of these logits instead of re-running the
+// network.
+type cleanLogits struct {
+	batches []*tensor.Tensor // batch b covers images [b·batchSize, b·batchSize+rows)
+	labels  []int            // labels of the n eval images
+}
+
+// clean runs one clean forward per eval batch of the first n images
+// and keeps a copy of each batch's logits.
+func (r *runner) clean(ctx context.Context, ds *dataset.Dataset, n, batchSize int) (*cleanLogits, error) {
+	n, batchSize = evalSize(ds, n, batchSize)
+	c := &cleanLogits{
+		batches: make([]*tensor.Tensor, (n+batchSize-1)/batchSize),
+		labels:  ds.Labels[:n],
+	}
+	err := r.forEachBatch(ctx, ds, n, batchSize, nil, func(b, _ int, logits *tensor.Tensor) {
+		c.batches[b] = logits.Clone()
+	})
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// accuracy scores the logits, each perturbed first by noise when noise
+// is non-nil. noise(b, logits) receives a private copy of batch b's
+// logits; batches are visited and their correct counts summed in batch
+// order.
+func (c *cleanLogits) accuracy(noise func(b int, logits *tensor.Tensor)) float64 {
+	total, start := 0, 0
+	var scratch []float64
+	for b, lg := range c.batches {
+		if noise != nil {
+			scratch = append(scratch[:0], lg.Data...)
+			lg = tensor.FromSlice(scratch, lg.Shape...)
+			noise(b, lg)
+		}
+		total += correct(lg, c.labels[start:])
+		start += lg.Shape[0]
+	}
+	return float64(total) / float64(len(c.labels))
 }
 
 // Accuracy measures top-1 accuracy of net over the first n images of ds
@@ -240,7 +304,7 @@ func Accuracy(net *nn.Network, ds *dataset.Dataset, n, batchSize int, inject map
 	if len(inject) == 0 {
 		planFor = nil
 	}
-	acc, _ := r.accuracy(context.Background(), ds, n, batchSize, planFor, nil)
+	acc, _ := r.accuracy(context.Background(), ds, n, batchSize, planFor)
 	return acc
 }
 
@@ -263,7 +327,7 @@ func AccuracyStatelessOn(ctx context.Context, workers int, pol kernels.Policy, n
 	if len(inject) == 0 {
 		planFor = nil
 	}
-	return r.accuracy(ctx, ds, n, batchSize, planFor, nil)
+	return r.accuracy(ctx, ds, n, batchSize, planFor)
 }
 
 // Scheme1Plan builds the equal-scheme injection plan for a given σ_YŁ:
@@ -305,33 +369,42 @@ func XiPlan(prof *profile.Profile, sigmaYL float64, xi []float64, r *rng.RNG) ma
 // EvaluateSigma measures the accuracy at a candidate σ_YŁ under the
 // chosen scheme, averaged over opts.Repeats noise realizations.
 //
-// Scheme 1 derives an independent injection plan per eval batch and
-// Scheme 2 an independent Gaussian stream per eval batch — pre-split
-// in batch order — so batches evaluate concurrently (opts.Workers)
-// with results bit-identical at every worker count.
+// Scheme 1 derives an independent injection plan per eval batch, so
+// its batches evaluate concurrently (opts.Workers). Scheme 2 runs one
+// clean forward per eval batch (concurrently) and then perturbs copies
+// of those logits with an independent Gaussian stream per batch for
+// every repeat. Plans and streams are pre-split in batch order, so
+// results are bit-identical at every worker count.
 func EvaluateSigma(net *nn.Network, prof *profile.Profile, ds *dataset.Dataset, sigma float64, opts Options) float64 {
 	opts = opts.withDefaults(ds)
-	acc, err := evaluateSigma(context.Background(), newRunner(net, opts.Workers, opts.Kernel), net, prof, ds, sigma, opts)
+	ctx := context.Background()
+	rn := newRunner(net, opts.Workers, opts.Kernel)
+	var clean *cleanLogits
+	if opts.Scheme == Scheme2Gaussian {
+		var err error
+		if clean, err = rn.clean(ctx, ds, opts.EvalImages, opts.BatchSize); err != nil {
+			panic(fmt.Sprintf("search: %v", err)) // unreachable without ctx cancellation
+		}
+	}
+	acc, err := evaluateSigma(ctx, rn, clean, prof, ds, sigma, opts)
 	if err != nil {
 		panic(fmt.Sprintf("search: %v", err)) // unreachable without ctx cancellation
 	}
 	return acc
 }
 
-// evaluateSigma is EvaluateSigma against a caller-owned runner, so a
-// binary search reuses one plan and one set of arena sessions across
-// all its probes. opts must already be normalized.
-func evaluateSigma(ctx context.Context, rn *runner, net *nn.Network, prof *profile.Profile, ds *dataset.Dataset, sigma float64, opts Options) (float64, error) {
+// evaluateSigma is EvaluateSigma against a caller-owned runner and,
+// for Scheme 2, the caller's clean logits of the eval subset, so a
+// binary search reuses one plan, one set of arena sessions and one
+// clean forward across all its probes. opts must already be
+// normalized.
+func evaluateSigma(ctx context.Context, rn *runner, clean *cleanLogits, prof *profile.Profile, ds *dataset.Dataset, sigma float64, opts Options) (float64, error) {
 	r := rng.New(opts.Seed ^ math.Float64bits(sigma))
-	n := opts.EvalImages
-	if n <= 0 || n > ds.Len() {
-		n = ds.Len()
-	}
-	nBatches := (n + opts.BatchSize - 1) / opts.BatchSize
+	n, batchSize := evalSize(ds, opts.EvalImages, opts.BatchSize)
+	nBatches := (n + batchSize - 1) / batchSize
 	total := 0.0
 	for rep := 0; rep < opts.Repeats; rep++ {
 		var acc float64
-		var err error
 		switch opts.Scheme {
 		case Scheme1Uniform:
 			// One independent plan per batch, derived sequentially so
@@ -340,13 +413,17 @@ func evaluateSigma(ctx context.Context, rn *runner, net *nn.Network, prof *profi
 			for b := range plans {
 				plans[b] = Scheme1Plan(prof, sigma, r)
 			}
-			acc, err = rn.accuracy(ctx, ds, n, opts.BatchSize, func(b int) map[int]nn.Injector { return plans[b] }, nil)
+			var err error
+			acc, err = rn.accuracy(ctx, ds, n, batchSize, func(b int) map[int]nn.Injector { return plans[b] })
+			if err != nil {
+				return 0, err
+			}
 		case Scheme2Gaussian:
 			streams := make([]*rng.RNG, nBatches)
 			for b := range streams {
 				streams[b] = r.Split()
 			}
-			acc, err = rn.accuracy(ctx, ds, n, opts.BatchSize, nil, func(b int, logits *tensor.Tensor) {
+			acc = clean.accuracy(func(b int, logits *tensor.Tensor) {
 				rb := streams[b]
 				for i := range logits.Data {
 					logits.Data[i] += rb.NormalScaled(0, sigma)
@@ -354,9 +431,6 @@ func evaluateSigma(ctx context.Context, rn *runner, net *nn.Network, prof *profi
 			})
 		default:
 			panic(fmt.Sprintf("search: unknown scheme %v", opts.Scheme))
-		}
-		if err != nil {
-			return 0, err
 		}
 		total += acc
 	}
@@ -388,13 +462,13 @@ func RunContext(ctx context.Context, net *nn.Network, prof *profile.Profile, ds 
 	defer ssp.End()
 	rn := newRunner(net, opts.Workers, opts.Kernel)
 	_, esp := obs.Start(ctx, "search.exact")
-	exact, err := rn.accuracy(ctx, ds, opts.EvalImages, opts.BatchSize, nil, nil)
+	clean, err := rn.clean(ctx, ds, opts.EvalImages, opts.BatchSize)
 	esp.End()
 	if err != nil {
 		return nil, fmt.Errorf("search: %w", err)
 	}
 	res := &Result{
-		ExactAccuracy: exact,
+		ExactAccuracy: clean.accuracy(nil),
 		EvalImages:    opts.EvalImages,
 	}
 	res.TargetAcc = res.ExactAccuracy * (1 - opts.RelDrop)
@@ -407,7 +481,7 @@ func RunContext(ctx context.Context, net *nn.Network, prof *profile.Profile, ds 
 			return false, fmt.Errorf("search: %w", err)
 		}
 		pctx, psp := obs.Start(ctx, "search.probe", obs.KV("sigma", sigma))
-		acc, err := evaluateSigma(pctx, rn, net, prof, ds, sigma, opts)
+		acc, err := evaluateSigma(pctx, rn, clean, prof, ds, sigma, opts)
 		if err != nil {
 			psp.End()
 			return false, fmt.Errorf("search: %w", err)
