@@ -22,8 +22,7 @@ import (
 
 func main() {
 	workers := flag.Int("workers", 0, "parallel worker count compared against workers=1 (0 = all CPUs)")
-	kernel := flag.String("kernel", "", "compute backend for the pipeline checks: "+strings.Join(kernels.Names(), ", ")+" (default "+kernels.DefaultImpl+"; the kernel differentials always sweep all backends)")
-	intraWorkers := flag.Int("intra-workers", 0, "goroutines the parallel kernel spends inside one layer (0 = automatic)")
+	intraWorkers := flag.Int("intra-workers", 0, "goroutines one layer's kernels shard across (0 or 1 = serial; results are identical at any value)")
 	nets := flag.String("nets", "", "comma-separated subset of test networks (default all: "+strings.Join(testnet.ZooNames(), ",")+")")
 	gridSteps := flag.Int("grid", 0, "brute-force Eq. 8 oracle resolution (0 = default)")
 	verbose := flag.Bool("v", false, "print every check, not just failures")
@@ -38,7 +37,7 @@ func main() {
 	opts := refcheck.Options{
 		Workers:   *workers,
 		GridSteps: *gridSteps,
-		Kernel:    kernels.Policy{Impl: *kernel, IntraWorkers: *intraWorkers},
+		Kernel:    kernels.Policy{IntraWorkers: *intraWorkers},
 	}
 	if *nets != "" {
 		opts.Nets = strings.Split(*nets, ",")

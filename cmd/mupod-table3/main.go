@@ -28,13 +28,12 @@ func main() {
 	eval := flag.Int("eval", 200, "images per accuracy evaluation")
 	seed := flag.Uint64("seed", 1, "noise seed")
 	workers := flag.Int("workers", 0, "evaluation worker count (0 = all CPUs; results are identical at any count)")
-	kernel := flag.String("kernel", "", "forward-pass compute backend: "+strings.Join(kernels.Names(), ", ")+" (default "+kernels.DefaultImpl+")")
-	intraWorkers := flag.Int("intra-workers", 0, "goroutines the parallel kernel spends inside one layer (0 = automatic)")
+	intraWorkers := flag.Int("intra-workers", 0, "goroutines one layer's kernels shard across (0 or 1 = serial; results are identical at any value)")
 	logSpec := flag.String("log", "", "log level[,format]: debug|info|warn|error, text|json (default $MUPOD_LOG or info,text)")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event file of the run to this path")
 	flag.Parse()
 
-	kpol := kernels.Policy{Impl: *kernel, IntraWorkers: *intraWorkers}
+	kpol := kernels.Policy{IntraWorkers: *intraWorkers}
 	if err := kpol.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "mupod-table3: %v\n", err)
 		os.Exit(2)

@@ -7,7 +7,7 @@
 //
 //	mupod -model alexnet -objective mac -drop 0.01 [-scheme 1]
 //	      [-images 30] [-points 12] [-eval 200] [-summary]
-//	      [-kernel blocked|parallel|naive] [-intra-workers n]
+//	      [-intra-workers n]
 //	      [-log level[,format]] [-trace out.json]
 //
 // With -trace, the run writes a Chrome trace-event file covering the
@@ -53,13 +53,12 @@ func main() {
 	seed := flag.Uint64("seed", 1, "noise seed")
 	summary := flag.Bool("summary", false, "print the network topology and exit")
 	workers := flag.Int("workers", 0, "evaluation worker count (0 = all CPUs; results are identical at any count)")
-	kernel := flag.String("kernel", "", "forward-pass compute backend: "+strings.Join(kernels.Names(), ", ")+" (default "+kernels.DefaultImpl+")")
-	intraWorkers := flag.Int("intra-workers", 0, "goroutines the parallel kernel spends inside one layer (0 = automatic)")
+	intraWorkers := flag.Int("intra-workers", 0, "goroutines one layer's kernels shard across (0 or 1 = serial; results are identical at any value)")
 	logSpec := flag.String("log", "", "log level[,format]: debug|info|warn|error, text|json (default $MUPOD_LOG or info,text)")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event file of the pipeline run to this path")
 	flag.Parse()
 
-	kpol := kernels.Policy{Impl: *kernel, IntraWorkers: *intraWorkers}
+	kpol := kernels.Policy{IntraWorkers: *intraWorkers}
 	if err := kpol.Validate(); err != nil {
 		fatal("%v", err)
 	}

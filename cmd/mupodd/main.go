@@ -11,7 +11,7 @@
 //
 //	mupodd [-addr :8080] [-workers 2] [-queue 64] [-job-workers 0]
 //	       [-tenant-weights a:2,b:1] [-tenant-quota 0]
-//	       [-kernel blocked|parallel|naive] [-intra-workers 0]
+//	       [-intra-workers 0]
 //	       [-stage-timeout 10m] [-drain-timeout 30s] [-cache 64]
 //	       [-data-dir dir] [-max-attempts 3]
 //	       [-node a -peers a=http://h1:8080,b=http://h2:8080]
@@ -59,7 +59,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"mupod/internal/cluster"
@@ -80,8 +79,7 @@ func main() {
 	cacheEntries := flag.Int("cache", 64, "profile cache capacity (entries)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "profile cache byte budget (0 = unlimited)")
 	jobWorkers := flag.Int("job-workers", 0, "default per-job evaluation parallelism (0 = GOMAXPROCS divided across the worker pool)")
-	kernel := flag.String("kernel", "", "default forward-pass compute backend for jobs that don't name one: "+strings.Join(kernels.Names(), ", ")+" (default "+kernels.DefaultImpl+")")
-	intraWorkers := flag.Int("intra-workers", 0, "default goroutines the parallel kernel spends inside one layer (0 = automatic)")
+	intraWorkers := flag.Int("intra-workers", 0, "default goroutines one layer's kernels shard across, for jobs that set none (0 or 1 = serial)")
 	dataDir := flag.String("data-dir", "", "directory for the durable job store (empty = in-memory only; jobs are lost on restart)")
 	maxAttempts := flag.Int("max-attempts", 3, "run attempts per job across transient failures and crash recoveries")
 	nodeName := flag.String("node", "", "this node's name in the cluster (required with -peers)")
@@ -98,7 +96,7 @@ func main() {
 	traceSpans := flag.Int("trace-spans", 0, "per-job trace buffer cap in spans (0 = default, negative disables /debug/trace)")
 	flag.Parse()
 
-	kpol := kernels.Policy{Impl: *kernel, IntraWorkers: *intraWorkers}
+	kpol := kernels.Policy{IntraWorkers: *intraWorkers}
 	if err := kpol.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "mupodd: %v\n", err)
 		os.Exit(2)

@@ -10,6 +10,7 @@ package mupod
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mupod/internal/core"
@@ -105,10 +106,10 @@ func TestAllocationBitIdenticalAcrossWorkers(t *testing.T) {
 }
 
 // TestAllocationBitIdenticalAcrossKernels pins the kernel layer's
-// contract at pipeline scope: a full guarded run on the "parallel"
-// backend — at ANY intra-op worker count — is float64-for-float64
-// equal to the "blocked" run, which in turn equals the default (zero
-// KernelPolicy) run. Intra-op tiling, like inter-op workers, is a pure
+// contract at pipeline scope: a full guarded run with sharded kernels
+// — at ANY intra-op worker count — is float64-for-float64 equal to the
+// default (zero KernelPolicy, serial) run, as is an explicit
+// IntraWorkers 1. Intra-op tiling, like inter-op workers, is a pure
 // latency/CPU trade. Both σ-search schemes are covered: Scheme 1
 // injects at every layer per probe, Scheme 2 scores noisy copies of
 // one clean forward's logits.
@@ -131,9 +132,9 @@ func TestAllocationBitIdenticalAcrossKernels(t *testing.T) {
 		}
 		ref := run(kernels.Policy{})
 		for _, pol := range []kernels.Policy{
-			{Impl: "blocked"},
-			{Impl: "parallel", IntraWorkers: 1},
-			{Impl: "parallel", IntraWorkers: 5},
+			{IntraWorkers: 1},
+			{IntraWorkers: 2},
+			{IntraWorkers: 5},
 		} {
 			got := run(pol)
 			if !reflect.DeepEqual(ref.Allocation, got.Allocation) {
@@ -146,6 +147,35 @@ func TestAllocationBitIdenticalAcrossKernels(t *testing.T) {
 				t.Fatalf("%v, kernel %+v: guard outcome diverges: σ %v vs %v, retries %d vs %d",
 					scheme, pol, ref.GuardedSigma, got.GuardedSigma, ref.GuardRetries, got.GuardRetries)
 			}
+		}
+	}
+}
+
+// TestDefaultPolicyNeverShards pins the meaning of the zero
+// KernelPolicy: serial kernels. With cores to spare (GOMAXPROCS ≥ 2)
+// and one evaluation worker, profile and search on the default policy
+// must not dispatch a single sharded kernel call — no stage may turn
+// intra-op sharding on by itself.
+func TestDefaultPolicyNeverShards(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	net, _, te := testnet.Trained()
+	m := kernels.EnableMetrics(obs.NewRegistry())
+	defer kernels.DisableMetrics()
+	prof, err := profile.Run(net, te, profile.Config{Images: 8, Points: 4, Seed: 7, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scheme := range []search.Scheme{search.Scheme1Uniform, search.Scheme2Gaussian} {
+		if _, err := search.Run(net, prof, te, search.Options{Scheme: scheme, RelDrop: 0.05, EvalImages: 60, Seed: 3, Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.Dispatch("blocked", "gemm").Value() == 0 {
+		t.Fatal("no blocked GEMM dispatch counted; metrics not wired")
+	}
+	for _, op := range []string{"gemm", "im2col", "dwconv", "dense", "axpy", "dot", "fan"} {
+		if n := m.Dispatch("parallel", op).Value(); n != 0 {
+			t.Errorf("default policy dispatched %d sharded %s calls", n, op)
 		}
 	}
 }

@@ -31,10 +31,9 @@ type Opts struct {
 	// profiling and search stage (0 = GOMAXPROCS, 1 = sequential).
 	// Results are bit-identical at any worker count.
 	Workers int
-	// Kernel is the compute backend threaded into every forward pass
-	// (zero value = the default backend). Like Workers it never changes
-	// an experiment's numbers between "blocked" and "parallel"; "naive"
-	// accumulates in a different order and may differ in the last ulp.
+	// Kernel is the intra-op sharding threaded into every forward pass
+	// (zero value = serial kernels). Like Workers it never changes an
+	// experiment's numbers.
 	Kernel kernels.Policy
 }
 

@@ -21,7 +21,6 @@ import (
 	"mupod/internal/dataset"
 	"mupod/internal/exec"
 	"mupod/internal/fixedpoint"
-	"mupod/internal/kernels"
 	"mupod/internal/nn"
 	"mupod/internal/optimize"
 	"mupod/internal/profile"
@@ -263,10 +262,6 @@ func RunContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, cfg C
 	stride := exact.Len()
 	diffs := make([]float64, len(items)*stride)
 	ev := exec.NewEvaluator(pc.Workers)
-	pol := pc.Kernel
-	if pol.IntraWorkers == 0 {
-		pol.IntraWorkers = kernels.IntraBudget(ev.Workers())
-	}
 	sessions := make([]*exec.Session, ev.Workers())
 	err := ev.Map(ctx, len(items), func(ctx context.Context, worker, i int) error {
 		if err := ctx.Err(); err != nil {
@@ -274,7 +269,7 @@ func RunContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, cfg C
 		}
 		sess := sessions[worker]
 		if sess == nil {
-			sess = exec.NewSessionPolicy(plan, pol)
+			sess = exec.NewSessionPolicy(plan, pc.Kernel)
 			sessions[worker] = sess
 		}
 		it := items[i]

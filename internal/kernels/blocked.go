@@ -5,10 +5,6 @@ import (
 	"sync"
 )
 
-func init() {
-	Register("blocked", func(int) Backend { return blockedBackend{} })
-}
-
 // blockedBackend is the cache-blocked, register-tiled implementation:
 // GEMM packs B into 4-column panels that stay resident in L1 while a
 // micro-kernel streams A rows through register accumulators (8×4 in
@@ -254,6 +250,53 @@ func kern1x4(k int, a, pack []float64, c []float64, bias float64) {
 func (blockedBackend) Im2col(g ConvGeom, inC int, x, cols []float64) {
 	countDispatch(implBlocked, opIm2col)
 	im2col(g, inC, x, cols)
+}
+
+// im2col packs the receptive fields of one [inC, H, W] image into a
+// [inC·K·K, OH·OW] column matrix (zero padding materialized). Both
+// backends share it.
+func im2col(g ConvGeom, inC int, x, cols []float64) {
+	kk := g.K * g.K
+	plane := g.OH * g.OW
+	for ic := 0; ic < inC; ic++ {
+		im2colChannel(g, ic, x, cols[ic*kk*plane:(ic+1)*kk*plane])
+	}
+}
+
+// im2colChannel packs the K·K column-matrix rows of input channel ic
+// into dst ([K·K, OH·OW]); the parallel backend shards over channels.
+func im2colChannel(g ConvGeom, ic int, x, dst []float64) {
+	H, W := g.H, g.W
+	plane := g.OH * g.OW
+	xBase := ic * H * W
+	row := 0
+	for kh := 0; kh < g.K; kh++ {
+		for kw := 0; kw < g.K; kw++ {
+			d := dst[row*plane : (row+1)*plane]
+			i := 0
+			for oy := 0; oy < g.OH; oy++ {
+				ih := oy*g.Stride - g.Pad + kh
+				if ih < 0 || ih >= H {
+					for ox := 0; ox < g.OW; ox++ {
+						d[i] = 0
+						i++
+					}
+					continue
+				}
+				xRow := xBase + ih*W
+				for ox := 0; ox < g.OW; ox++ {
+					iw := ox*g.Stride - g.Pad + kw
+					if iw < 0 || iw >= W {
+						d[i] = 0
+					} else {
+						d[i] = x[xRow+iw]
+					}
+					i++
+				}
+			}
+			row++
+		}
+	}
 }
 
 // DWConv implements Backend with the padding bounds hoisted: the valid

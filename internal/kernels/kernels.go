@@ -4,30 +4,29 @@
 // interface, selected per execution session by a Policy value instead
 // of a mutable package global.
 //
-// Three implementations are registered:
+// There is one kernel family, run two ways:
 //
-//   - "naive": the original reference loops, moved here verbatim from
-//     internal/nn. Slow, obvious, and the behavioral baseline every
-//     other backend is differentially checked against.
-//   - "blocked": cache-blocked, register-tiled GEMM over packed
-//     4-column panels with a 2×4 Go micro-kernel (an 8×4 FMA3
-//     assembly micro-kernel on amd64 CPUs that have it),
-//     hoisted-bounds depthwise conv, and a 4-row-unrolled dense
-//     kernel.
-//   - "parallel": the blocked kernels with goroutine intra-op tiling —
-//     output columns/planes/rows of a single layer are sharded across
-//     a bounded worker set.
+//   - "blocked" (Policy.IntraWorkers 0 or 1): cache-blocked,
+//     register-tiled GEMM over packed 4-column panels with a 2×4 Go
+//     micro-kernel (an 8×4 FMA3 assembly micro-kernel on amd64 CPUs
+//     that have it), hoisted-bounds depthwise conv, and a
+//     4-row-unrolled dense kernel.
+//   - "parallel" (IntraWorkers n ≥ 2): the blocked kernels with
+//     goroutine intra-op tiling — output columns/planes/rows of a
+//     single layer are sharded across n workers.
 //
-// Reduction-order contract: every backend computes each output element
+// The package tests keep the original reference loops as a test-only
+// naive oracle (naive_test.go), alongside internal/refcheck's
+// float64 kernels.
+//
+// Reduction-order contract: every kernel computes each output element
 // as bias + Σ terms in one fixed ascending order (ascending l for
 // GEMM, ascending (kh,kw) for convolutions, ascending i for dense and
 // dot). Work is only ever sharded across *disjoint output elements*,
 // never across the reduction dimension, so "parallel" is bit-identical
 // to "blocked" at any worker count — including the inline fallback it
-// takes for small shapes. "naive" additionally skips zero weight rows
-// in GEMM (an axpy-sweep artifact), so naive and blocked agree to
-// ≤1e-9 against internal/refcheck's float64 references but are not
-// guaranteed bit-identical to each other.
+// takes for small shapes. Every Policy therefore yields the same bits,
+// and caches never need to key on it.
 //
 // The blocked/parallel GEMM accumulates with math.FMA. FMA is
 // IEEE-defined ("computed with only one rounding"), so results are
@@ -35,20 +34,15 @@
 // back to the software implementation — determinism is unaffected by
 // build flags or host CPU. Speed is not: below GOAMD64=v3 every
 // math.FMA site compiles to a hardware check plus a fallback call,
-// whose register spills leave the Go micro-kernel no faster than
-// naive. On amd64 CPUs with FMA3 and AVX, 8-row blocks of the GEMM
-// therefore run an assembly micro-kernel (fma_amd64.s) that issues the
-// same fused multiply-adds, one per output lane in ascending l, at
-// every GOAMD64 level; the Go micro-kernels cover row tails, CPUs
-// without FMA3 and other architectures.
+// whose register spills leave the Go micro-kernel no faster than the
+// naive oracle. On amd64 CPUs with FMA3 and AVX, 8-row blocks of the
+// GEMM therefore run an assembly micro-kernel (fma_amd64.s) that
+// issues the same fused multiply-adds, one per output lane in
+// ascending l, at every GOAMD64 level; the Go micro-kernels cover row
+// tails, CPUs without FMA3 and other architectures.
 package kernels
 
-import (
-	"fmt"
-	"runtime"
-	"sort"
-	"sync"
-)
+import "fmt"
 
 // ConvGeom carries the spatial geometry of one convolution or pooling
 // call: input H×W, square kernel K, stride, zero padding, and the
@@ -65,7 +59,7 @@ type ConvGeom struct {
 // implementations are stateless and safe for concurrent use by any
 // number of sessions; scratch memory is drawn from internal pools.
 type Backend interface {
-	// Name returns the registered implementation name.
+	// Name returns the implementation label ("blocked" or "parallel").
 	Name() string
 
 	// GEMM computes c[i*n+j] = bias[i] + Σ_l a[i*k+l]·b[l*n+j] for
@@ -75,7 +69,7 @@ type Backend interface {
 
 	// Im2col packs the receptive fields of one [inC, H, W] image x
 	// into a [inC·K·K, OH·OW] column matrix (zero padding
-	// materialized). Pure data movement: identical across backends.
+	// materialized). Pure data movement.
 	Im2col(g ConvGeom, inC int, x, cols []float64)
 
 	// DWConv computes a depthwise convolution over x [batch, channels,
@@ -100,102 +94,41 @@ type Backend interface {
 	Fan(n int, f func(i int))
 }
 
-// DefaultImpl is the implementation selected by an empty Policy.Impl.
-const DefaultImpl = "blocked"
-
-// Policy selects a compute backend by value. The zero value means
-// "default backend, automatic intra-op budget" and is always valid, so
-// configs that never mention kernels keep working unchanged.
+// Policy selects the compute backend by value. There is one backend
+// family, the blocked kernels; the policy only says whether a layer's
+// kernels shard their output across goroutines. The zero value runs
+// them serially and is always valid, so configs that never mention
+// kernels keep working unchanged.
 type Policy struct {
-	// Impl names the backend: "naive", "blocked", "parallel", or ""
-	// for DefaultImpl.
-	Impl string `json:"impl,omitempty"`
-	// IntraWorkers bounds the goroutines the "parallel" backend may
-	// use inside one layer. 0 means an automatic budget (see
-	// IntraBudget); serial backends ignore it.
+	// IntraWorkers is the number of goroutines one layer's kernels may
+	// shard across: 0 or 1 runs the serial blocked kernels, n ≥ 2 the
+	// "parallel" sharding over n workers. Results are bit-identical at
+	// every value.
 	IntraWorkers int `json:"intra_workers,omitempty"`
 }
 
-// Validate reports whether the policy names a registered backend and
-// has a sane worker budget.
+// Validate reports whether the policy has a sane worker budget.
 func (p Policy) Validate() error {
 	if p.IntraWorkers < 0 {
 		return fmt.Errorf("kernels: negative intra workers %d", p.IntraWorkers)
 	}
-	name := p.Impl
-	if name == "" {
-		name = DefaultImpl
-	}
-	regMu.RLock()
-	_, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return fmt.Errorf("kernels: unknown backend %q (have %v)", p.Impl, Names())
-	}
 	return nil
 }
 
-// ResultClass collapses the policy to its result-equivalence class for
-// content-addressed caching: IntraWorkers is dropped and "parallel"
-// maps to "blocked" (bit-identical by contract), so turning intra-op
-// parallelism on or off never splits a profile cache. "naive" stays
-// its own class — its zero-skip GEMM is not bit-identical to the
-// blocked kernels.
-func (p Policy) ResultClass() Policy {
-	impl := p.Impl
-	if impl == "" {
-		impl = DefaultImpl
-	}
-	if impl == "parallel" {
-		impl = "blocked"
-	}
-	return Policy{Impl: impl}
-}
+// Names returns the implementation labels of the dispatch counters
+// (mupod_kernel_dispatch_total{impl=...}), sorted.
+func Names() []string { return append([]string(nil), implNames[:]...) }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]func(intraWorkers int) Backend{}
-)
-
-// Register adds a backend constructor under name; the constructor
-// receives the resolved intra-op worker budget. Last registration
-// wins. Intended for package init; safe for concurrent use.
-func Register(name string, ctor func(intraWorkers int) Backend) {
-	regMu.Lock()
-	registry[name] = ctor
-	regMu.Unlock()
-}
-
-// Names returns the registered backend names, sorted.
-func Names() []string {
-	regMu.RLock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	regMu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
-// New resolves a policy to a backend, applying DefaultImpl and the
-// automatic intra-op budget for zero fields.
+// New resolves a policy to a backend: the serial blocked kernels for
+// IntraWorkers ≤ 1, the sharded ones otherwise.
 func New(p Policy) (Backend, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	name := p.Impl
-	if name == "" {
-		name = DefaultImpl
+	if p.IntraWorkers < 2 {
+		return blockedBackend{}, nil
 	}
-	workers := p.IntraWorkers
-	if workers <= 0 {
-		workers = IntraBudget(1)
-	}
-	regMu.RLock()
-	ctor := registry[name]
-	regMu.RUnlock()
-	return ctor(workers), nil
+	return parallelBackend{workers: p.IntraWorkers}, nil
 }
 
 // MustNew is New for policies already validated upstream; it panics on
@@ -210,18 +143,3 @@ func MustNew(p Policy) Backend {
 
 // Default returns the backend for the zero Policy.
 func Default() Backend { return MustNew(Policy{}) }
-
-// IntraBudget divides the machine between inter-item and intra-op
-// parallelism: with interWorkers evaluator goroutines already running,
-// each may spend max(1, GOMAXPROCS/interWorkers) goroutines inside one
-// layer. Inter-op gets priority — intra-op only uses leftover cores.
-func IntraBudget(interWorkers int) int {
-	if interWorkers < 1 {
-		interWorkers = 1
-	}
-	b := runtime.GOMAXPROCS(0) / interWorkers
-	if b < 1 {
-		b = 1
-	}
-	return b
-}

@@ -52,17 +52,18 @@ func maxAbsDiff(a, b []float64) float64 {
 	return d
 }
 
+// backendsUnderTest is the equivalence table: the test-only naive
+// oracle plus every policy shape — serial at 0 and 1 intra-op workers,
+// sharded at 4.
 func backendsUnderTest(t *testing.T) map[string]Backend {
 	t.Helper()
-	out := map[string]Backend{}
-	for _, name := range Names() {
-		for _, workers := range []int{1, 4} {
-			be, err := New(Policy{Impl: name, IntraWorkers: workers})
-			if err != nil {
-				t.Fatalf("New(%s): %v", name, err)
-			}
-			out[fmt.Sprintf("%s/w%d", name, workers)] = be
+	out := map[string]Backend{"naive": naiveBackend{}}
+	for _, workers := range []int{0, 1, 4} {
+		be, err := New(Policy{IntraWorkers: workers})
+		if err != nil {
+			t.Fatalf("New(IntraWorkers %d): %v", workers, err)
 		}
+		out[fmt.Sprintf("%s/w%d", be.Name(), workers)] = be
 	}
 	return out
 }
@@ -79,6 +80,8 @@ func TestGEMMEquivalence(t *testing.T) {
 		bias := fill(r, sh.m)
 		want := make([]float64, sh.m*sh.n)
 		refGEMM(sh.m, sh.n, sh.k, a, b, bias, want)
+		naiveOut := make([]float64, sh.m*sh.n)
+		naiveBackend{}.GEMM(sh.m, sh.n, sh.k, a, b, bias, naiveOut)
 		blockedOut := make([]float64, sh.m*sh.n)
 		blockedBackend{}.GEMM(sh.m, sh.n, sh.k, a, b, bias, blockedOut)
 		for name, be := range backendsUnderTest(t) {
@@ -87,9 +90,13 @@ func TestGEMMEquivalence(t *testing.T) {
 			if d := maxAbsDiff(got, want); d > 1e-9 {
 				t.Errorf("%s GEMM %dx%dx%d: max diff %g vs reference", name, sh.m, sh.n, sh.k, d)
 			}
-			// parallel must be bit-identical to blocked at any worker
-			// count (disjoint-shard contract).
-			if be.Name() == "parallel" {
+			if d := maxAbsDiff(got, naiveOut); d > 1e-9 {
+				t.Errorf("%s GEMM %dx%dx%d: max diff %g vs naive", name, sh.m, sh.n, sh.k, d)
+			}
+			// Serial and sharded must be bit-identical at any worker
+			// count (disjoint-shard contract); only the naive oracle's
+			// zero-skip may differ in the last bits.
+			if be.Name() != "naive" {
 				for i := range got {
 					if got[i] != blockedOut[i] {
 						t.Fatalf("%s GEMM %dx%dx%d: not bit-identical to blocked at index %d: %x vs %x",
@@ -234,7 +241,7 @@ func TestIm2colEquivalence(t *testing.T) {
 
 func TestFanRunsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 7} {
-		be := MustNew(Policy{Impl: "parallel", IntraWorkers: workers})
+		be := MustNew(Policy{IntraWorkers: workers})
 		const n = 153
 		counts := make([]int32, n)
 		var mu sync.Mutex
@@ -254,7 +261,7 @@ func TestFanRunsEveryIndexOnce(t *testing.T) {
 // TestIntraPoolRaceHammer drives the parallel backend from many
 // goroutines at once (run under -race in CI's kernels job).
 func TestIntraPoolRaceHammer(t *testing.T) {
-	be := MustNew(Policy{Impl: "parallel", IntraWorkers: 4})
+	be := MustNew(Policy{IntraWorkers: 4})
 	r := rand.New(rand.NewSource(5))
 	const m, n, k = 9, 530, 40
 	a := fill(r, m*k)
@@ -301,38 +308,22 @@ func TestPolicy(t *testing.T) {
 	if err := (Policy{}).Validate(); err != nil {
 		t.Fatalf("zero policy invalid: %v", err)
 	}
-	if err := (Policy{Impl: "nope"}).Validate(); err == nil {
-		t.Fatal("unknown impl accepted")
-	}
 	if err := (Policy{IntraWorkers: -1}).Validate(); err == nil {
 		t.Fatal("negative workers accepted")
 	}
-	if got := (Policy{Impl: "parallel", IntraWorkers: 9}).ResultClass(); got != (Policy{Impl: "blocked"}) {
-		t.Fatalf("parallel result class = %+v", got)
+	if _, err := New(Policy{IntraWorkers: -1}); err == nil {
+		t.Fatal("New accepted negative workers")
 	}
-	if got := (Policy{}).ResultClass(); got != (Policy{Impl: DefaultImpl}) {
-		t.Fatalf("default result class = %+v", got)
-	}
-	if got := (Policy{Impl: "naive", IntraWorkers: 3}).ResultClass(); got != (Policy{Impl: "naive"}) {
-		t.Fatalf("naive result class = %+v", got)
-	}
-	names := Names()
-	for _, want := range []string{"naive", "blocked", "parallel"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("backend %q not registered (have %v)", want, names)
+	for workers, want := range map[int]string{0: "blocked", 1: "blocked", 2: "parallel", 9: "parallel"} {
+		if got := MustNew(Policy{IntraWorkers: workers}).Name(); got != want {
+			t.Fatalf("IntraWorkers %d resolves to %s, want %s", workers, got, want)
 		}
 	}
-	if Default().Name() != DefaultImpl {
-		t.Fatalf("Default() = %s", Default().Name())
+	if got := Default().Name(); got != "blocked" {
+		t.Fatalf("Default() = %s", got)
 	}
-	if b := IntraBudget(0); b < 1 {
-		t.Fatalf("IntraBudget(0) = %d", b)
+	if got := fmt.Sprint(Names()); got != "[blocked parallel]" {
+		t.Fatalf("Names() = %s", got)
 	}
 }
 
@@ -340,7 +331,7 @@ func TestDispatchMetrics(t *testing.T) {
 	r := obs.NewRegistry()
 	m := EnableMetrics(r)
 	defer DisableMetrics()
-	be := MustNew(Policy{Impl: "blocked"})
+	be := MustNew(Policy{})
 	a := []float64{1, 2, 3, 4}
 	c := make([]float64, 4)
 	be.GEMM(2, 2, 2, a, a, nil, c)
@@ -351,7 +342,7 @@ func TestDispatchMetrics(t *testing.T) {
 	if got := m.Dispatch("blocked", "dot").Value(); got != 1 {
 		t.Fatalf("dot dispatch count = %d", got)
 	}
-	if m.Dispatch("blocked", "nope") != nil || m.Dispatch("nope", "gemm") != nil {
+	if m.Dispatch("blocked", "nope") != nil || m.Dispatch("naive", "gemm") != nil {
 		t.Fatal("unknown labels should return nil")
 	}
 }
@@ -425,11 +416,16 @@ func TestBlockedFasterThanNaiveSmoke(t *testing.T) {
 	}
 }
 
+// benchBackends is the naive oracle and both policy shapes, the
+// sharded one at one intra-op worker per CPU.
+func benchBackends() []Backend {
+	return []Backend{naiveBackend{}, Default(), MustNew(Policy{IntraWorkers: max(2, runtime.GOMAXPROCS(0))})}
+}
+
 func BenchmarkGEMMBackends(b *testing.B) {
 	a, bb, bias, c := gemmInputs(alexM, alexN, alexK)
-	for _, name := range []string{"naive", "blocked", "parallel"} {
-		be := MustNew(Policy{Impl: name, IntraWorkers: 0})
-		b.Run(name, func(b *testing.B) {
+	for _, be := range benchBackends() {
+		b.Run(be.Name(), func(b *testing.B) {
 			b.SetBytes(int64(8 * (alexM*alexK + alexK*alexN + alexM*alexN)))
 			for i := 0; i < b.N; i++ {
 				be.GEMM(alexM, alexN, alexK, a, bb, bias, c)
@@ -446,9 +442,8 @@ func BenchmarkDWConvBackends(b *testing.B) {
 	w := fill(r, channels*g.K*g.K)
 	bias := fill(r, channels)
 	out := make([]float64, batch*channels*g.OH*g.OW)
-	for _, name := range []string{"naive", "blocked", "parallel"} {
-		be := MustNew(Policy{Impl: name})
-		b.Run(name, func(b *testing.B) {
+	for _, be := range benchBackends() {
+		b.Run(be.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				be.DWConv(g, batch, channels, x, w, bias, out)
 			}

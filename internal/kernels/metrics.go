@@ -13,13 +13,12 @@ import (
 type implID int
 
 const (
-	implNaive implID = iota
-	implBlocked
+	implBlocked implID = iota
 	implParallel
 	numImpls
 )
 
-var implNames = [numImpls]string{"naive", "blocked", "parallel"}
+var implNames = [numImpls]string{"blocked", "parallel"}
 
 type opID int
 

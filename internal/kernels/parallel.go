@@ -5,15 +5,6 @@ import (
 	"sync/atomic"
 )
 
-func init() {
-	Register("parallel", func(intraWorkers int) Backend {
-		if intraWorkers < 1 {
-			intraWorkers = 1
-		}
-		return parallelBackend{workers: intraWorkers}
-	})
-}
-
 // parallelBackend runs the blocked kernels with goroutine intra-op
 // tiling: output columns (GEMM), channel planes (depthwise conv,
 // im2col, pooling fan-out) or output rows (dense) of a single layer
@@ -24,7 +15,7 @@ func init() {
 // minParallelMACs of work) run inline — the fallback changes latency
 // only, never bits.
 type parallelBackend struct {
-	workers int
+	workers int // ≥ 2; New resolves smaller budgets to blockedBackend
 }
 
 // Name implements Backend.
@@ -72,7 +63,7 @@ func runShards(workers, units int, f func(u int)) {
 // worker budget, one packed panel buffer per worker invocation.
 func (p parallelBackend) GEMM(m, n, k int, a, b, bias, c []float64) {
 	countDispatch(implParallel, opGEMM)
-	if p.workers < 2 || m*n*k < minParallelMACs || n < 2*nr {
+	if m*n*k < minParallelMACs || n < 2*nr {
 		pack := getPack(k * nr)
 		gemmBlockedCols(m, n, k, a, b, bias, c, 0, n, pack)
 		putPack(pack)
@@ -95,7 +86,7 @@ func (p parallelBackend) GEMM(m, n, k int, a, b, bias, c []float64) {
 // its own K·K rows of the column matrix).
 func (p parallelBackend) Im2col(g ConvGeom, inC int, x, cols []float64) {
 	countDispatch(implParallel, opIm2col)
-	if p.workers < 2 || inC < 2 || inC*g.K*g.K*g.OH*g.OW < minParallelMACs {
+	if inC < 2 || inC*g.K*g.K*g.OH*g.OW < minParallelMACs {
 		im2col(g, inC, x, cols)
 		return
 	}
@@ -110,7 +101,7 @@ func (p parallelBackend) Im2col(g ConvGeom, inC int, x, cols []float64) {
 func (p parallelBackend) DWConv(g ConvGeom, batch, channels int, x, w, bias, out []float64) {
 	countDispatch(implParallel, opDWConv)
 	planes := batch * channels
-	if p.workers < 2 || planes < 2 || planes*g.OH*g.OW*g.K*g.K < minParallelMACs {
+	if planes < 2 || planes*g.OH*g.OW*g.K*g.K < minParallelMACs {
 		dwconvHoisted(g, 0, planes, channels, x, w, bias, out)
 		return
 	}
@@ -123,7 +114,7 @@ func (p parallelBackend) DWConv(g ConvGeom, batch, channels int, x, w, bias, out
 // enough, otherwise output-quad chunks within each row.
 func (p parallelBackend) Dense(batch, in, out int, x, w, bias, y []float64) {
 	countDispatch(implParallel, opDense)
-	if p.workers < 2 || batch*in*out < minParallelMACs {
+	if batch*in*out < minParallelMACs {
 		for n := 0; n < batch; n++ {
 			denseRows(n, in, out, 0, out, x, w, bias, y)
 		}
@@ -165,7 +156,7 @@ func (p parallelBackend) Dot(x, y []float64) float64 {
 // Callers guarantee disjoint writes per index.
 func (p parallelBackend) Fan(n int, f func(i int)) {
 	countDispatch(implParallel, opFan)
-	if p.workers < 2 || n < 2 {
+	if n < 2 {
 		for i := 0; i < n; i++ {
 			f(i)
 		}

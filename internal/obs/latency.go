@@ -13,7 +13,7 @@ import (
 // nanoseconds, each magnitude split into 32 linear sub-buckets, so any
 // recorded value is represented with at most 1/32 (≈3.1%) relative
 // error across the whole nanosecond-to-hours range — no bucket layout
-// to configure, unlike the fixed-bucket Histogram.
+// to configure.
 //
 // Observe is lock-free (two atomic adds plus a CAS each for min/max),
 // which is what the HTTP hot path and a load generator firing tens of

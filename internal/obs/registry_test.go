@@ -54,8 +54,8 @@ func TestSameSeriesReturned(t *testing.T) {
 	if a != b {
 		t.Fatal("same name+labels must return the same series")
 	}
-	h1 := r.Histogram("h", "H.", []float64{1, 2})
-	h2 := r.Histogram("h", "H.", []float64{1, 2})
+	h1 := r.LatencyHistogram("h", "H.", "k", "v")
+	h2 := r.LatencyHistogram("h", "H.", "k", "v")
 	if h1 != h2 {
 		t.Fatal("same histogram series expected")
 	}
@@ -118,11 +118,13 @@ func parseHistogram(t *testing.T, text, name, labels string) (les []float64, cum
 
 func TestHistogramExpositionCorrectness(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_latency_seconds", "Latency.", []float64{0.01, 0.1, 1})
-	obs := []float64{0.005, 0.01, 0.05, 0.5, 2, 3}
+	h := r.LatencyHistogram("test_latency_seconds", "Latency.")
+	// Each value sits more than one sub-bucket width (1/32) below the
+	// next DefaultLatencyBuckets bound, so its coarse bucket is exact.
+	obs := []float64{0.003, 0.007, 0.03, 0.3, 2, 3}
 	wantSum := 0.0
 	for _, v := range obs {
-		h.Observe(v)
+		h.ObserveSeconds(v)
 		wantSum += v
 	}
 
@@ -149,23 +151,22 @@ func TestHistogramExpositionCorrectness(t *testing.T) {
 	if count != uint64(len(obs)) {
 		t.Errorf("_count = %d, want %d", count, len(obs))
 	}
-	// _sum matches the observations.
-	if math.Abs(sum-wantSum) > 1e-12 {
+	// _sum matches the observations (recorded in whole nanoseconds).
+	if math.Abs(sum-wantSum) > 1e-8 {
 		t.Errorf("_sum = %v, want %v", sum, wantSum)
 	}
-	// Spot-check boundary semantics: le is inclusive, so 0.01 lands in
-	// the first bucket.
-	if cum[0] != 2 {
-		t.Errorf("le=0.01 bucket = %d, want 2 (0.005 and 0.01)", cum[0])
-	}
-	if cum[1] != 3 || cum[2] != 4 {
-		t.Errorf("mid buckets = %d,%d, want 3,4", cum[1], cum[2])
+	// Spot-check bucket placement against the default bounds.
+	want := map[float64]uint64{0.005: 1, 0.01: 2, 0.05: 3, 0.5: 4, 2.5: 5, 5: 6}
+	for i, le := range les {
+		if w, ok := want[le]; ok && cum[i] != w {
+			t.Errorf("le=%g bucket = %d, want %d", le, cum[i], w)
+		}
 	}
 }
 
 func TestHistogramConcurrent(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_hammer_seconds", "Hammered.", DefaultLatencyBuckets)
+	h := r.LatencyHistogram("test_hammer_seconds", "Hammered.")
 	const goroutines = 16
 	const perG = 2000
 	// One goroutine keeps rendering while the others observe, so the
@@ -190,7 +191,7 @@ func TestHistogramConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < perG; j++ {
-				h.Observe(float64(i*perG+j) * 1e-5)
+				h.ObserveSeconds(float64(i*perG+j) * 1e-5)
 			}
 		}(i)
 	}
@@ -213,27 +214,27 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	var c *Counter
 	var fc *FloatCounter
 	var g *Gauge
-	var h *Histogram
+	var h *LatencyHistogram
 	c.Add(1)
 	c.Inc()
 	fc.Add(1)
 	g.Set(1)
 	g.Add(1)
 	h.Observe(1)
-	if c.Value() != 0 || fc.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || fc.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Snapshot().SumNS != 0 {
 		t.Fatal("nil receivers must read as zero")
 	}
 }
 
 func TestHistogramLabelled(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_stage_seconds", "Stage.", []float64{1, 2}, "stage", "solve")
-	h.Observe(1.5)
+	h := r.LatencyHistogram("test_stage_seconds", "Stage.", "stage", "solve")
+	h.ObserveSeconds(1.5)
 	var sb strings.Builder
 	r.Write(&sb)
 	for _, want := range []string{
 		`test_stage_seconds_bucket{stage="solve",le="1"} 0`,
-		`test_stage_seconds_bucket{stage="solve",le="2"} 1`,
+		`test_stage_seconds_bucket{stage="solve",le="2.5"} 1`,
 		`test_stage_seconds_bucket{stage="solve",le="+Inf"} 1`,
 		`test_stage_seconds_sum{stage="solve"} 1.5`,
 		`test_stage_seconds_count{stage="solve"} 1`,

@@ -61,11 +61,9 @@ type Config struct {
 	// bit-identical at every worker count — Workers changes wall-clock
 	// time only, never results (content-addressed caches hash it out).
 	Workers int
-	// Kernel selects the compute backend for the exact forward pass and
-	// every replay (zero value = default backend, automatic intra-op
-	// budget). The "parallel" backend and IntraWorkers are result-
-	// neutral (kernels.Policy.ResultClass); caches hash the result class
-	// only.
+	// Kernel sets the intra-op sharding of the exact forward pass and
+	// every replay (zero value = serial kernels). Every policy yields
+	// the same bits, so caches do not hash it.
 	Kernel kernels.Policy
 }
 
@@ -244,10 +242,9 @@ func RunContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, cfg C
 	// same kernel backend the replay sessions will use, so cached
 	// activations and replays share one accumulation order. It runs on
 	// its own Session, so no replay session ever writes into the cache.
-	pol := cfg.Kernel
 	plan := exec.NewPlan(net)
 	_, fsp := obs.Start(ctx, "profile.forward", obs.KV("batch", cfg.Images))
-	acts := exec.NewSessionPolicy(plan, pol).ForwardAll(batch)
+	acts := exec.NewSessionPolicy(plan, cfg.Kernel).ForwardAll(batch)
 	fsp.End()
 	exact := acts[len(acts)-1]
 
@@ -281,11 +278,6 @@ func RunContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, cfg C
 	stride := exact.Len()
 	diffs := make([]float64, len(items)*stride)
 	ev := exec.NewEvaluator(cfg.Workers)
-	if pol.IntraWorkers == 0 {
-		// Inter-item replay parallelism has priority; intra-op tiling
-		// spends whatever cores the sweep pool leaves idle.
-		pol.IntraWorkers = kernels.IntraBudget(ev.Workers())
-	}
 	sessions := make([]*exec.Session, ev.Workers())
 	sctx, ssp := obs.Start(ctx, "profile.sweep",
 		obs.KV("layers", len(nodes)), obs.KV("items", len(items)))
@@ -295,7 +287,7 @@ func RunContext(ctx context.Context, net *nn.Network, ds *dataset.Dataset, cfg C
 		}
 		sess := sessions[worker]
 		if sess == nil {
-			sess = exec.NewSessionPolicy(plan, pol)
+			sess = exec.NewSessionPolicy(plan, cfg.Kernel)
 			sess.Trace(ctx)
 			sessions[worker] = sess
 		}

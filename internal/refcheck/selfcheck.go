@@ -21,10 +21,10 @@ type Options struct {
 	// Workers is the parallel fast-path worker count compared against
 	// workers=1 and the reference (0 = GOMAXPROCS).
 	Workers int
-	// Kernel is the compute backend threaded through the pipeline
-	// checks (zero value = the default backend). The per-backend
-	// differential sweep always covers every registered backend
-	// regardless of this setting.
+	// Kernel is the intra-op sharding threaded through the pipeline
+	// checks (zero value = serial kernels). The kernel differentials
+	// always cover both the serial and the sharded kernels regardless
+	// of this setting.
 	Kernel kernels.Policy
 	// Nets restricts the sweep to a subset of testnet.ZooNames()
 	// (nil/empty = all).
@@ -184,11 +184,11 @@ func (s *runState) checkForward(ctx context.Context, f testnet.Fixture) error {
 }
 
 // checkKernelBackends runs the compute-kernel differentials on one
-// fixture: every registered backend must stay within ForwardTol of the
-// reference kernels, and the "parallel" backend must be bit-identical
-// to "blocked" at every intra-op worker count (it only shards disjoint
-// outputs; the per-output reduction order is part of the kernel
-// contract).
+// fixture: the serial and the sharded kernels must each stay within
+// ForwardTol of the reference kernels, and must be bit-identical to
+// each other at every intra-op worker count (sharding only splits
+// disjoint outputs; the per-output reduction order is part of the
+// kernel contract).
 func (s *runState) checkKernelBackends(f testnet.Fixture) {
 	const batch = 16
 	in := f.Test.Batch(0, batch)
@@ -198,16 +198,16 @@ func (s *runState) checkKernelBackends(f testnet.Fixture) {
 	forward := func(pol kernels.Policy) *tensor.Tensor {
 		return exec.NewSessionPolicy(plan, pol).Forward(in).Clone()
 	}
-	outs := make(map[string]*tensor.Tensor)
-	for _, name := range kernels.Names() {
-		out := forward(kernels.Policy{Impl: name, IntraWorkers: 3})
-		outs[name] = out
+	differential := func(out *tensor.Tensor, name string) {
 		diff, err := CompareTensors(out, ref)
 		if err == nil && diff > ForwardTol {
 			err = fmt.Errorf("diverges from reference by %g (tol %g)", diff, ForwardTol)
 		}
 		s.add(f.Name, "kernel differential "+name, err)
 	}
+	serial, sharded := forward(kernels.Policy{}), forward(kernels.Policy{IntraWorkers: 3})
+	differential(serial, "blocked")
+	differential(sharded, "parallel")
 
 	bitIdentical := func(a, b *tensor.Tensor, what string) error {
 		for i := range a.Data {
@@ -217,11 +217,12 @@ func (s *runState) checkKernelBackends(f testnet.Fixture) {
 		}
 		return nil
 	}
-	err := bitIdentical(outs[kernels.DefaultImpl], outs["parallel"], "blocked and parallel")
+	err := bitIdentical(serial, sharded, "serial and sharded kernels")
 	if err == nil {
-		w1 := forward(kernels.Policy{Impl: "parallel", IntraWorkers: 1})
-		wN := forward(kernels.Policy{Impl: "parallel", IntraWorkers: s.opts.Workers})
-		err = bitIdentical(w1, wN, fmt.Sprintf("parallel intra-workers 1 and %d", s.opts.Workers))
+		n := max(2, s.opts.Workers)
+		w1 := forward(kernels.Policy{IntraWorkers: 1})
+		wN := forward(kernels.Policy{IntraWorkers: n})
+		err = bitIdentical(w1, wN, fmt.Sprintf("intra-workers 1 and %d", n))
 	}
 	s.add(f.Name, "kernel parallel bit-identity", err)
 }

@@ -77,11 +77,9 @@ type Options struct {
 	// eval batch in batch order and correct counts are reduced in batch
 	// order, so results are bit-identical at every worker count.
 	Workers int
-	// Kernel selects the compute backend for evaluation forward passes
-	// (zero value = default backend, automatic intra-op budget). Like
-	// Workers, the "parallel" backend and any IntraWorkers setting never
-	// change results (kernels.Policy.ResultClass), so caches hash the
-	// result class only.
+	// Kernel sets the intra-op sharding of evaluation forward passes
+	// (zero value = serial kernels). Like Workers it never changes
+	// results, so caches do not hash it.
 	Kernel kernels.Policy
 }
 
@@ -158,11 +156,6 @@ type runner struct {
 
 func newRunner(net *nn.Network, workers int, pol kernels.Policy) *runner {
 	ev := exec.NewEvaluator(workers)
-	if pol.IntraWorkers == 0 {
-		// Inter-item parallelism has priority; intra-op tiling spends
-		// whatever cores the eval pool leaves idle.
-		pol.IntraWorkers = kernels.IntraBudget(ev.Workers())
-	}
 	return &runner{
 		ev:       ev,
 		plan:     exec.NewPlan(net),

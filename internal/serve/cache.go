@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"mupod/internal/dataset"
+	"mupod/internal/kernels"
 	"mupod/internal/netdesc"
 	"mupod/internal/nn"
 	"mupod/internal/profile"
@@ -25,13 +26,11 @@ import (
 // computes it once and serves every later request from the cache.
 func ProfileKey(net *nn.Network, ds *dataset.Dataset, cfg profile.Config) string {
 	cfg = cfg.Normalized()
-	// Worker count never changes the (bit-identical) profile, so it must
-	// not split the cache: requests differing only in parallelism share
-	// one entry. The kernel policy is hashed by result-equivalence
-	// class for the same reason — "parallel" and the blocked default
-	// produce identical bits at any intra-op worker count.
+	// Neither the worker count nor the kernel policy changes the
+	// (bit-identical) profile, so they must not split the cache:
+	// requests differing only in parallelism share one entry.
 	cfg.Workers = 0
-	cfg.Kernel = cfg.Kernel.ResultClass()
+	cfg.Kernel = kernels.Policy{}
 	h := sha256.New()
 
 	// Topology. The DSL covers every layer the repository builds; if a

@@ -180,20 +180,18 @@ func validNodeName(name string) error {
 
 // RouteKey computes a job request's content-addressed routing key: a
 // hash over the request with everything that cannot change the result
-// cleared (tenant, parallelism knobs) and the kernel policies folded to
-// their result class — the same normalization the profile cache key
-// applies, so requests that would share a cached profile also share an
-// owner node.
+// cleared (tenant, parallelism knobs, kernel policies) — the same
+// normalization the profile cache key applies, so requests that would
+// share a cached profile also share an owner node.
 func RouteKey(req *JobRequest) string {
 	r := *req
 	r.Tenant = ""
 	r.Workers = 0
 	r.IntraWorkers = 0
-	r.Kernel = (kernels.Policy{Impl: r.Kernel}).ResultClass().Impl
 	r.Profile.Workers = 0
-	r.Profile.Kernel = r.Profile.Kernel.ResultClass()
+	r.Profile.Kernel = kernels.Policy{}
 	r.Search.Workers = 0
-	r.Search.Kernel = r.Search.Kernel.ResultClass()
+	r.Search.Kernel = kernels.Policy{}
 	b, err := json.Marshal(&r)
 	if err != nil {
 		// Unmarshalable requests never pass Validate; route them all to

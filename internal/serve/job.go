@@ -76,16 +76,12 @@ type JobRequest struct {
 	// any worker count, so this only trades latency for CPU.
 	Workers int `json:"workers,omitempty"`
 
-	// Kernel names the compute backend for this job's forward passes:
-	// "naive", "blocked" or "parallel" ("" = the daemon's default).
-	// IntraWorkers bounds the goroutines the "parallel" backend spends
-	// inside one layer (0 = automatic). Stage-level policies in
-	// Profile.Kernel / Search.Kernel take precedence when set. Like
-	// Workers, "parallel"/IntraWorkers never change results; "naive"
-	// computes in a different accumulation order and therefore keys its
-	// own profile-cache class.
-	Kernel       string `json:"kernel,omitempty"`
-	IntraWorkers int    `json:"intra_workers,omitempty"`
+	// IntraWorkers is the number of goroutines one layer's kernels
+	// shard across in this job's forward passes (0 = the daemon's
+	// default, 1 = serial). Stage-level policies in Profile.Kernel /
+	// Search.Kernel take precedence when set. Like Workers, it never
+	// changes results.
+	IntraWorkers int `json:"intra_workers,omitempty"`
 
 	DeltaFloor      float64 `json:"delta_floor,omitempty"`
 	Guard           bool    `json:"guard,omitempty"`
@@ -124,17 +120,12 @@ func (r *JobRequest) Validate() error {
 			return err
 		}
 	}
-	for _, p := range []kernels.Policy{r.kernelPolicy(), r.Profile.Kernel, r.Search.Kernel} {
+	for _, p := range []kernels.Policy{{IntraWorkers: r.IntraWorkers}, r.Profile.Kernel, r.Search.Kernel} {
 		if err := p.Validate(); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// kernelPolicy bundles the request's job-level kernel knobs.
-func (r *JobRequest) kernelPolicy() kernels.Policy {
-	return kernels.Policy{Impl: r.Kernel, IntraWorkers: r.IntraWorkers}
 }
 
 func (r *JobRequest) objective() (core.Objective, error) {
@@ -169,7 +160,7 @@ func (r *JobRequest) coreConfig() (core.Config, error) {
 		GuardShrink:     r.GuardShrink,
 		GuardMaxRetries: r.GuardMaxRetries,
 		Workers:         r.Workers,
-		Kernel:          r.kernelPolicy(),
+		Kernel:          kernels.Policy{IntraWorkers: r.IntraWorkers},
 	}, nil
 }
 

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -339,4 +341,60 @@ func TestJournalAppendFailpointDegradesGracefully(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, j, StateDone)
+}
+
+// TestReplayDropsRemovedKernelFields: a data dir written while jobs
+// could still name a compute backend ("kernel", and a stage policy's
+// "impl") must keep replaying. Replay decodes leniently, so the removed
+// fields are dropped, and both the snapshot job and the journal job
+// finish with the allocation of the same request without them.
+func TestReplayDropsRemovedKernelFields(t *testing.T) {
+	legacyReq := func() string {
+		b, err := json.Marshal(tinyRequest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var req map[string]any
+		if err := json.Unmarshal(b, &req); err != nil {
+			t.Fatal(err)
+		}
+		req["kernel"] = "naive"
+		req["profile"].(map[string]any)["Kernel"] = map[string]any{"impl": "naive"}
+		req["search"].(map[string]any)["Kernel"] = map[string]any{"impl": "parallel", "intra_workers": 2}
+		if b, err = json.Marshal(req); err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	dir := t.TempDir()
+	at := time.Date(2026, 8, 1, 9, 0, 0, 0, time.UTC).Format(time.RFC3339)
+	snap := fmt.Sprintf(`{"next_id":1,"jobs":[{"id":"j-000001","req":%s,"state":"queued","submitted":%q}]}`, legacyReq(), at)
+	wal := fmt.Sprintf(`{"t":"submit","id":"j-000002","time":%q,"req":%s}`+"\n", at, legacyReq())
+	if err := os.WriteFile(filepath.Join(dir, snapshotFile), []byte(snap), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, journalFile), []byte(wal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := newTestManager(t, Config{Workers: 1})
+	want, err := fresh.Submit(tinyRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, want, StateDone)
+
+	m := newTestManager(t, Config{Workers: 1, DataDir: dir, NoFsync: true})
+	for _, id := range []string{"j-000001", "j-000002"} {
+		j, err := m.Get(id)
+		if err != nil {
+			t.Fatalf("legacy job %s not replayed: %v", id, err)
+		}
+		waitState(t, j, StateDone)
+		got, ref := j.Result(), want.Result()
+		if !reflect.DeepEqual(got.Bits, ref.Bits) || got.SigmaYL != ref.SigmaYL || got.EffectiveInputBits != ref.EffectiveInputBits {
+			t.Errorf("job %s: bits %v σ %v eff %v, want %v σ %v eff %v", id,
+				got.Bits, got.SigmaYL, got.EffectiveInputBits, ref.Bits, ref.SigmaYL, ref.EffectiveInputBits)
+		}
+	}
 }

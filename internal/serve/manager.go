@@ -60,8 +60,8 @@ type Config struct {
 	// a fully-loaded queue does not oversubscribe the CPU while a lone
 	// job still uses its full share.
 	JobWorkers int
-	// Kernel is the default compute-backend policy for jobs whose
-	// request leaves it unset (zero value = kernels default).
+	// Kernel is the default intra-op sharding policy for jobs whose
+	// request leaves it unset (zero value = serial kernels).
 	Kernel kernels.Policy
 	// QueueDepth bounds the number of queued-but-not-running jobs;
 	// submissions beyond it are shed with ErrQueueFull (default 64).

@@ -36,7 +36,7 @@ type Metrics struct {
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
 
-	stages map[string]*obs.Histogram // fixed key set, created at construction
+	stages map[string]*obs.LatencyHistogram // fixed key set, created at construction
 
 	// Reliability counters, registered by the Manager after its gauges
 	// (registerReliability) so the golden page prefix stays byte-stable.
@@ -50,7 +50,7 @@ type Metrics struct {
 	// golden-prefix reason. The pareto stage gets its own latency
 	// family rather than a new series in mupod_stage_latency_seconds,
 	// whose series set is frozen by the golden test.
-	paretoLatency    *obs.Histogram
+	paretoLatency    *obs.LatencyHistogram
 	frontCacheHits   *obs.Counter
 	frontCacheMisses *obs.Counter
 
@@ -101,9 +101,9 @@ func NewMetrics() *Metrics {
 	m.cancelled = r.Counter("mupod_jobs_completed_total", "Jobs finished, by terminal state.", "state", "cancelled")
 	m.cacheHits = r.Counter("mupod_profile_cache_hits_total", "Profiling runs served from the content-addressed cache.")
 	m.cacheMisses = r.Counter("mupod_profile_cache_misses_total", "Profiling runs computed from scratch.")
-	m.stages = make(map[string]*obs.Histogram, len(stageNames))
+	m.stages = make(map[string]*obs.LatencyHistogram, len(stageNames))
 	for _, s := range stageNames {
-		m.stages[s] = r.Histogram("mupod_stage_latency_seconds", "Per-stage pipeline latency.", obs.DefaultLatencyBuckets, "stage", s)
+		m.stages[s] = r.LatencyHistogram("mupod_stage_latency_seconds", "Per-stage pipeline latency.", "stage", s)
 	}
 	return m
 }
@@ -116,7 +116,7 @@ func (m *Metrics) Registry() *obs.Registry { return m.reg }
 // ObserveStage records one stage latency.
 func (m *Metrics) ObserveStage(stage string, d time.Duration) {
 	if h, ok := m.stages[stage]; ok {
-		h.Observe(d.Seconds())
+		h.Observe(d)
 	}
 }
 
@@ -141,7 +141,7 @@ func (m *Metrics) registerReliability() {
 // the Manager after every pre-existing registration, so the /metrics
 // page grows strictly at the end.
 func (m *Metrics) registerPareto() {
-	m.paretoLatency = m.reg.Histogram("mupod_pareto_latency_seconds", "Pareto-front stage latency (sweep or NSGA-II search).", obs.DefaultLatencyBuckets)
+	m.paretoLatency = m.reg.LatencyHistogram("mupod_pareto_latency_seconds", "Pareto-front stage latency (sweep or NSGA-II search).")
 	m.frontCacheHits = m.reg.Counter("mupod_front_cache_hits_total", "Pareto fronts served from the content-addressed front cache.")
 	m.frontCacheMisses = m.reg.Counter("mupod_front_cache_misses_total", "Pareto fronts computed from scratch.")
 }
@@ -256,9 +256,7 @@ func (m *Metrics) TenantShed(name string) uint64 {
 
 // ObservePareto records one Pareto stage latency.
 func (m *Metrics) ObservePareto(d time.Duration) {
-	if m.paretoLatency != nil {
-		m.paretoLatency.Observe(d.Seconds())
-	}
+	m.paretoLatency.Observe(d)
 }
 
 // FrontCacheHits returns the front-cache hit count so far.

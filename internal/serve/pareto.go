@@ -9,6 +9,7 @@ import (
 	"io"
 	"sync"
 
+	"mupod/internal/kernels"
 	"mupod/internal/pareto"
 	"mupod/internal/profile"
 	"mupod/internal/search"
@@ -104,11 +105,12 @@ func toParetoPoints(pts []pareto.Point) []ParetoPoint {
 // FrontKey content-addresses a Pareto front: the profile key already
 // pins the network, weights, profiling inputs and profile config; the
 // search options pin σ_YŁ (the search is deterministic); the spec pins
-// the front parameters. Worker counts are excluded — results are
-// bit-identical at any parallelism, so they must not split the cache.
+// the front parameters. Worker counts and the kernel policy are
+// excluded — results are bit-identical at any parallelism, so they must
+// not split the cache.
 func FrontKey(profileKey string, sopts search.Options, spec ParetoSpec, deltaFloor float64) string {
 	sopts.Workers = 0
-	sopts.Kernel = sopts.Kernel.ResultClass()
+	sopts.Kernel = kernels.Policy{}
 	h := sha256.New()
 	io.WriteString(h, "pareto-front-v1\n")
 	io.WriteString(h, profileKey)

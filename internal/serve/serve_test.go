@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mupod/internal/dataset"
+	"mupod/internal/kernels"
 	"mupod/internal/nn"
 	"mupod/internal/profile"
 	"mupod/internal/search"
@@ -270,6 +271,12 @@ func TestProfileKeyNormalization(t *testing.T) {
 	explicit := zero.Normalized()
 	if ProfileKey(net, te, zero) != ProfileKey(net, te, explicit) {
 		t.Fatal("zero config and its explicit defaults hash differently")
+	}
+	sharded := explicit
+	sharded.Workers = 4
+	sharded.Kernel = kernels.Policy{IntraWorkers: 3}
+	if ProfileKey(net, te, explicit) != ProfileKey(net, te, sharded) {
+		t.Fatal("worker count or intra-op sharding split the profile key")
 	}
 	other := explicit
 	other.Seed++
@@ -575,6 +582,53 @@ func readAll(t *testing.T, resp *http.Response) string {
 		sb.Write(buf[:n])
 		if err != nil {
 			return sb.String()
+		}
+	}
+}
+
+// TestSubmitRejectsRemovedKernelField: jobs can no longer name a
+// compute backend, so a "kernel" field is an unknown field — 400 on
+// both the single and the batch submit route, naming the field.
+func TestSubmitRejectsRemovedKernelField(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 1})
+	ts := httptest.NewServer(NewHandler(m))
+	defer ts.Close()
+	job := `{"model":"testnet","kernel":"naive"}`
+	for route, body := range map[string]string{
+		"/v1/jobs":       job,
+		"/v1/jobs:batch": `{"jobs":[` + job + `]}`,
+	} {
+		resp, err := http.Post(ts.URL+route, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := readAll(t, resp)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s with \"kernel\": status %d, want 400 (%s)", route, resp.StatusCode, msg)
+		}
+		if !strings.Contains(msg, `unknown field \"kernel\"`) {
+			t.Errorf("POST %s: error %q does not name the unknown field", route, msg)
+		}
+	}
+	if n := len(m.Jobs()); n != 0 {
+		t.Fatalf("%d jobs admitted, want 0", n)
+	}
+}
+
+// TestStageLatencyQuantileInProcess: stage latencies are recorded on
+// log-linear histograms, so a stage's p99 is readable in-process, not
+// only as /metrics buckets.
+func TestStageLatencyQuantileInProcess(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 1})
+	j, err := m.Submit(tinyRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, j, StateDone)
+	for _, stage := range []string{StageProfile, StageSearch} {
+		s := m.metrics.stages[stage].Snapshot()
+		if s.N != 1 || s.Quantile(0.99) <= 0 {
+			t.Errorf("stage %s: %d observations, p99 %v; want 1 and > 0", stage, s.N, s.Quantile(0.99))
 		}
 	}
 }

@@ -143,10 +143,10 @@ type (
 	// JobManager owns the job table, queue and worker pool.
 	JobManager = serve.Manager
 
-	// KernelPolicy selects the compute backend of every forward pass
-	// ("naive", "blocked" or "parallel"; the zero value is the default
-	// backend) and bounds the intra-op parallelism of "parallel". Set it
-	// on Config.Kernel, ProfileConfig.Kernel, SearchOptions.Kernel,
+	// KernelPolicy sets the intra-op sharding of every forward pass:
+	// IntraWorkers 0 or 1 runs the serial blocked kernels, n ≥ 2 shards
+	// each layer across n goroutines, with bit-identical results. Set
+	// it on Config.Kernel, ProfileConfig.Kernel, SearchOptions.Kernel,
 	// BaselineOptions.Kernel or ServeConfig.Kernel (see
 	// internal/kernels).
 	KernelPolicy = kernels.Policy
@@ -421,17 +421,6 @@ func EnableEngineMetrics(reg *MetricsRegistry) {
 	kernels.EnableMetrics(reg)
 	optimize.EnableMetrics(reg)
 }
-
-// KernelBackends lists the registered compute backends ("naive",
-// "blocked", "parallel"), sorted; KernelDefault is the one a zero
-// KernelPolicy selects. All backends satisfy the same differential
-// contract against the reference kernels (≤1e-9 on the self-check
-// nets); "blocked" and "parallel" are bit-identical to each other at
-// any worker count, while "naive" accumulates in a different order.
-func KernelBackends() []string { return kernels.Names() }
-
-// KernelDefault is the backend name a zero KernelPolicy resolves to.
-const KernelDefault = kernels.DefaultImpl
 
 // NewTracer builds a span recorder holding up to maxSpans spans
 // (<= 0 uses the default cap). Attach it with WithTracer; any pipeline
